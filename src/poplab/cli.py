@@ -76,12 +76,19 @@ def cmd_expand(args: argparse.Namespace) -> int:
     return 0
 
 
+def _jobs_arg(args: argparse.Namespace) -> int:
+    if args.jobs < 1:
+        raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
+    return args.jobs
+
+
 def cmd_count(args: argparse.Namespace) -> int:
     pop = parse_pop(_pop_text_arg(args))
+    jobs = _jobs_arg(args)
     if (args.n is None) == (args.nmax is None):
         raise ValueError("give exactly one of --n and --nmax")
     if args.n is not None:
-        count = count_avoiders(pop, args.n, ceiling=args.ceiling, jobs=args.jobs)
+        count = count_avoiders(pop, args.n, ceiling=args.ceiling, jobs=jobs)
         if args.json:
             _dump_json(
                 {"schema": 1, "pop": pop.to_text(), "n": args.n, "count": count},
@@ -90,7 +97,7 @@ def cmd_count(args: argparse.Namespace) -> int:
         else:
             print(count)
         return 0
-    seq = count_avoiders_prefix(pop, args.nmax, ceiling=args.ceiling)
+    seq = count_avoiders_prefix(pop, args.nmax, ceiling=args.ceiling, jobs=jobs)
     if args.json:
         _dump_json(
             {
@@ -140,7 +147,7 @@ def cmd_conjectures(args: argparse.Namespace) -> int:
 
 
 def _orbit_counts(pop_text: str, n_max: int) -> list[int]:
-    return list(count_avoiders_prefix(parse_pop(pop_text), n_max, ceiling=n_max).counts)
+    return list(count_avoiders_prefix(parse_pop(pop_text), n_max).counts)
 
 
 def scan_pops(
@@ -223,8 +230,9 @@ def scan_pops(
 
 
 def cmd_scan(args: argparse.Namespace) -> int:
+    jobs = _jobs_arg(args)
     db = resolve_db(args.oeis)
-    result = scan_pops(args.length, args.nmax, db=db, jobs=args.jobs)
+    result = scan_pops(args.length, args.nmax, db=db, jobs=jobs)
     if args.json or args.out:
         _dump_json(result, args.out)
     if not args.json:

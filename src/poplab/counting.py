@@ -1,10 +1,20 @@
-"""Exact counting of POP-avoiding permutations by pruned backtracking.
+"""Exact counting of POP-avoiding permutations on a generating tree.
 
-Permutations are built left to right by choosing each next value from
-the unused ones.  A branch dies as soon as the prefix contains the
-pattern, and only occurrences that end at the newest position must be
-checked, because every earlier occurrence would have killed the branch
-already.  All arithmetic is exact.
+Deleting the last entry of an avoider and standardizing what is left
+gives a shorter avoider, so the avoiders form a tree rooted at the
+empty permutation: an avoider of length m has at most m+1 children, one
+for each relative rank of a new last entry (the right-append generating
+tree; West, Discrete Math. 146, 1995).  A child is kept unless an
+occurrence of the pattern ends at its new last entry, because every
+earlier occurrence would already have pruned an ancestor.  One
+depth-first walk of the tree to depth n_max therefore gives every count
+for n <= n_max at once.
+
+A parallel count collects the avoiders at depth ``SPLIT_DEPTH`` and maps
+the same subtree walk over them in a process pool, where the serial
+count uses the builtin ``map``; the parts are summed in a fixed order,
+so the result is identical for every job count.  All arithmetic is
+exact.
 """
 
 from __future__ import annotations
@@ -12,19 +22,17 @@ from __future__ import annotations
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from itertools import permutations
-from typing import Sequence
+from typing import Iterator, Sequence
 
-from .perms import Permutation
+from .perms import Permutation, _Constraints, _ends_at_last, _slot_constraints
 from .posets import Pop
 
 DEFAULT_CEILING = 10
 CYCLE_CEILING = 9
-
-# cons[j], for slot j of the pattern, lists (i, want_less) checks of the
-# candidate value against the values already assigned to slots i; slot
-# k-1 is pinned to the last position of the prefix and assigned first.
-_Constraints = tuple[tuple[tuple[int, int], ...], ...]
+# Depth of the subtrees that a parallel count hands to its workers.
+SPLIT_DEPTH = 4
 
 
 class CeilingExceeded(ValueError):
@@ -37,6 +45,10 @@ class CeilingExceeded(ValueError):
         )
         self.n = n
         self.ceiling = ceiling
+
+    def __reduce__(self):
+        # Lets the error cross back from a pool worker.
+        return CeilingExceeded, (self.n, self.ceiling)
 
 
 @dataclass(frozen=True)
@@ -54,121 +66,68 @@ class CountSequence:
         return self.counts[1:]
 
 
-def _slot_constraints(pop: Pop) -> _Constraints:
-    k = pop.k
-    below = pop.below
-    cons = []
-    for j in range(k - 1):
-        row = []
-        for i in (k - 1, *range(j)):
-            if below[j][i]:
-                row.append((i, 1))
-            elif below[i][j]:
-                row.append((i, 0))
-        cons.append(tuple(row))
-    return tuple(cons)
+def _children(perm: list[int], k: int, cons: _Constraints) -> Iterator[list[int]]:
+    """The avoiding children of an avoider, by relative rank of the new entry."""
+    for r in range(1, len(perm) + 2):
+        child = [v + (v >= r) for v in perm]
+        child.append(r)
+        if not _ends_at_last(child, k, cons):
+            yield child
 
 
-def _ends_at_last(prefix: Sequence[int], k: int, cons: _Constraints) -> bool:
-    """Does an occurrence of the compiled POP end at the last position?"""
-    m = len(prefix)
-    if m < k:
-        return False
-    if k == 1:
-        return True
-    vals = [0] * k
-    vals[k - 1] = prefix[m - 1]
-    last_slot = k - 2
+def _subtree_counts(
+    k: int, cons: _Constraints, n_max: int, root: list[int]
+) -> list[int]:
+    """``counts[m]``: avoiders of length m in the subtree below ``root``,
+    the root itself included, for m = 0..n_max."""
+    counts = [0] * (n_max + 1)
 
-    def extend(j: int, start: int) -> bool:
-        limit = m - k + j + 1
-        checks = cons[j]
-        for pos in range(start, limit):
-            v = prefix[pos]
-            ok = True
-            for i, want_less in checks:
-                if (v < vals[i]) != bool(want_less):
-                    ok = False
-                    break
-            if not ok:
-                continue
-            if j == last_slot:
-                return True
-            vals[j] = v
-            if extend(j + 1, pos + 1):
-                return True
-        return False
+    def walk(perm: list[int]) -> None:
+        counts[len(perm)] += 1
+        if len(perm) < n_max:
+            for child in _children(perm, k, cons):
+                walk(child)
 
-    return extend(0, 0)
+    walk(root)
+    return counts
 
 
-def _count_completions(
-    cons: _Constraints, k: int, n: int, prefix: list[int], used: list[bool]
-) -> int:
-    """Avoiding completions of a prefix that itself avoids the POP."""
-    if len(prefix) == n:
-        return 1
-    total = 0
-    for v in range(1, n + 1):
-        if used[v]:
-            continue
-        prefix.append(v)
-        if len(prefix) < k or not _ends_at_last(prefix, k, cons):
-            used[v] = True
-            total += _count_completions(cons, k, n, prefix, used)
-            used[v] = False
-        prefix.pop()
-    return total
+def count_avoiders_prefix(
+    pop: Pop, n_max: int, *, ceiling: int = DEFAULT_CEILING, jobs: int = 1
+) -> CountSequence:
+    """Avoidance counts for every length 0..n_max from one tree walk.
 
-
-def _count_branch(pop: Pop, n: int, first: int) -> int:
-    """Avoiders of length n whose first value is ``first``."""
+    With ``jobs > 1`` the subtrees below depth ``SPLIT_DEPTH`` are
+    counted in a process pool; the counts do not depend on ``jobs``.
+    """
+    if n_max < 0:
+        raise ValueError(f"length must be nonnegative, got {n_max}")
+    if n_max > ceiling:
+        raise CeilingExceeded(n_max, ceiling)
+    if pop.k > n_max:
+        return CountSequence(pop, tuple(math.factorial(n) for n in range(n_max + 1)))
     cons = _slot_constraints(pop)
-    used = [False] * (n + 1)
-    used[first] = True
-    return _count_completions(cons, pop.k, n, [first], used)
+    depth = min(SPLIT_DEPTH, n_max)
+    counts = [0] * (n_max + 1)
+    level: list[list[int]] = [[]]
+    for m in range(depth):
+        counts[m] = len(level)
+        level = [child for perm in level for child in _children(perm, pop.k, cons)]
+    walk = partial(_subtree_counts, pop.k, cons, n_max)
+    if jobs <= 1:
+        parts = list(map(walk, level))
+    else:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            parts = list(pool.map(walk, level))
+    return CountSequence(pop, tuple(sum(col) for col in zip(counts, *parts)))
 
 
 def count_avoiders(
     pop: Pop, n: int, *, ceiling: int = DEFAULT_CEILING, jobs: int = 1
 ) -> int:
-    """Number of permutations of length n avoiding the POP.
-
-    With ``jobs > 1`` the search forest is partitioned by the choice of
-    first value and the partial counts are summed in a fixed order, so
-    the result is identical for every worker count.
-    """
-    if n < 0:
-        raise ValueError(f"length must be nonnegative, got {n}")
-    if n > ceiling:
-        raise CeilingExceeded(n, ceiling)
-    if n == 0:
-        return 1
-    if pop.k > n:
-        return math.factorial(n)
-    firsts = range(1, n + 1)
-    if jobs <= 1:
-        cons = _slot_constraints(pop)
-        total = 0
-        for first in firsts:
-            used = [False] * (n + 1)
-            used[first] = True
-            total += _count_completions(cons, pop.k, n, [first], used)
-        return total
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return sum(pool.map(_count_branch, [pop] * n, [n] * n, firsts))
-
-
-def count_avoiders_prefix(
-    pop: Pop, n_max: int, *, ceiling: int = DEFAULT_CEILING
-) -> CountSequence:
-    """Avoidance counts for every length 0..n_max, one pass per length."""
-    if n_max < 0:
-        raise ValueError(f"length must be nonnegative, got {n_max}")
-    if n_max > ceiling:
-        raise CeilingExceeded(n_max, ceiling)
-    counts = [count_avoiders(pop, n, ceiling=ceiling) for n in range(n_max + 1)]
-    return CountSequence(pop, tuple(counts))
+    """Number of permutations of length n avoiding the POP: the last
+    term of ``count_avoiders_prefix``."""
+    return count_avoiders_prefix(pop, n, ceiling=ceiling, jobs=jobs).counts[n]
 
 
 def _pattern_ends_at_last(prefix: Sequence[int], pat: tuple[int, ...]) -> bool:

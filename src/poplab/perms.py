@@ -177,11 +177,11 @@ class Permutation:
         when pi(p_a) < pi(p_b) for every pair of labels with a below b;
         incomparable labels impose no constraint.
         """
-        return self._search_pop(pop, stop_at_first=True) > 0
+        return next(self.pop_occurrences(pop), None) is not None
 
     def count_pop_occurrences(self, pop: "Pop") -> int:
         """Number of subsequences realizing ``pop``."""
-        return self._search_pop(pop, stop_at_first=False)
+        return sum(1 for _ in self.pop_occurrences(pop))
 
     def pop_occurrences(self, pop: "Pop") -> Iterator[tuple[int, ...]]:
         """Yield the 1-based position tuples of every occurrence of ``pop``."""
@@ -218,44 +218,6 @@ class Permutation:
 
         yield from extend(0, 0)
 
-    def _search_pop(self, pop: "Pop", stop_at_first: bool) -> int:
-        below = pop.below
-        k = pop.k
-        vals = self._values
-        m = len(vals)
-        if k > m:
-            return 0
-        assigned = [0] * k
-
-        def extend(slot: int, start: int) -> int:
-            found = 0
-            for pos in range(start, m - (k - slot) + 1):
-                v = vals[pos]
-                ok = True
-                for i in range(slot):
-                    if below[slot][i]:
-                        if v >= assigned[i]:
-                            ok = False
-                            break
-                    elif below[i][slot]:
-                        if v <= assigned[i]:
-                            ok = False
-                            break
-                if not ok:
-                    continue
-                if slot == k - 1:
-                    found += 1
-                    if stop_at_first:
-                        return found
-                    continue
-                assigned[slot] = v
-                found += extend(slot + 1, pos + 1)
-                if stop_at_first and found:
-                    return found
-            return found
-
-        return extend(0, 0)
-
 
 def standardize(values: Sequence[int]) -> Permutation:
     """Replace distinct values by their ranks, smallest becoming 1."""
@@ -274,49 +236,63 @@ def has_cycle_interval_property(perm: Permutation, k: int) -> bool:
     return perm.max_cycle_interval_width() <= k - 1
 
 
+# cons[j], for slot j of the pattern, lists (i, want_less) checks of the
+# candidate value against the values already assigned to slots i; slot
+# k-1 is pinned to the last position of the prefix and assigned first.
+_Constraints = tuple[tuple[tuple[int, bool], ...], ...]
+
+
+def _slot_constraints(pop: "Pop") -> _Constraints:
+    k = pop.k
+    below = pop.below
+    cons = []
+    for j in range(k - 1):
+        row = []
+        for i in (k - 1, *range(j)):
+            if below[j][i]:
+                row.append((i, True))
+            elif below[i][j]:
+                row.append((i, False))
+        cons.append(tuple(row))
+    return tuple(cons)
+
+
+def _ends_at_last(prefix: Sequence[int], k: int, cons: _Constraints) -> bool:
+    """Does an occurrence of the compiled POP end at the last position?"""
+    m = len(prefix)
+    if m < k:
+        return False
+    if k == 1:
+        return True
+    vals = [0] * k
+    vals[k - 1] = prefix[m - 1]
+    last_slot = k - 2
+
+    def extend(j: int, start: int) -> bool:
+        checks = cons[j]
+        for pos in range(start, m - k + j + 1):
+            v = prefix[pos]
+            for i, want_less in checks:
+                if (v < vals[i]) != want_less:
+                    break
+            else:
+                if j == last_slot:
+                    return True
+                vals[j] = v
+                if extend(j + 1, pos + 1):
+                    return True
+        return False
+
+    return extend(0, 0)
+
+
 def contains_pop_ending_at_last(perm: Permutation, pop: "Pop") -> bool:
     """True when some occurrence of ``pop`` uses the last entry of
     ``perm`` as its final element.
 
     This is the incremental question a left-to-right enumerator asks
     after appending one entry: occurrences ending earlier were already
-    ruled out at previous steps.
+    ruled out at previous steps.  It runs the counting engine's own
+    matcher.
     """
-    below = pop.below
-    k = pop.k
-    vals = perm.values
-    m = len(vals)
-    if k > m:
-        return False
-    last = vals[m - 1]
-    assigned = [0] * k
-    assigned[k - 1] = last
-
-    def extend(slot: int, start: int) -> bool:
-        if slot == k - 1:
-            return True
-        for pos in range(start, m - 1 - (k - 2 - slot)):
-            v = vals[pos]
-            ok = True
-            for i in range(slot):
-                if below[slot][i]:
-                    if v >= assigned[i]:
-                        ok = False
-                        break
-                elif below[i][slot]:
-                    if v <= assigned[i]:
-                        ok = False
-                        break
-            if ok:
-                if below[slot][k - 1] and v >= last:
-                    ok = False
-                elif below[k - 1][slot] and v <= last:
-                    ok = False
-            if not ok:
-                continue
-            assigned[slot] = v
-            if extend(slot + 1, pos + 1):
-                return True
-        return False
-
-    return extend(0, 0)
+    return _ends_at_last(perm.values, pop.k, _slot_constraints(pop))

@@ -780,6 +780,16 @@ class VerifyRow:
     match: bool
 
 
+def _verify_rows(
+    reference: Sequence[int], brute: Sequence[int]
+) -> tuple[VerifyRow, ...]:
+    """One row per n, comparing a reference value with the brute count."""
+    return tuple(
+        VerifyRow(n, reference[n], brute[n], reference[n] == brute[n])
+        for n in range(len(brute))
+    )
+
+
 @dataclass(frozen=True)
 class Report:
     """Outcome of checking one entry against brute force."""
@@ -866,17 +876,15 @@ def verify_theorem(theorem_id: str, n_max: int = 8, *, k: int | None = None) -> 
     entry = get_theorem(theorem_id)
     k_eff = entry.resolve_k(k)
     stored = entry.prefix(k_eff)
+    n_eff = n_max if entry.has_formula else min(n_max, len(stored))
+    # Count first, so that the engine's ceiling refuses an oversized n
+    # before a reference builder (the cycle-interval filter) starts.
+    brute = count_avoiders_prefix(entry.pop(k_eff), n_eff)
     if entry.has_formula:
-        n_eff = n_max
         reference = entry.sequence(n_eff, k_eff)
     else:
-        n_eff = min(n_max, len(stored))
         reference = [1] + list(stored[:n_eff])
-    brute = count_avoiders_prefix(entry.pop(k_eff), n_eff, ceiling=n_eff)
-    rows = tuple(
-        VerifyRow(n, reference[n], brute.counts[n], reference[n] == brute.counts[n])
-        for n in range(n_eff + 1)
-    )
+    rows = _verify_rows(reference, brute.counts)
     prefix_consistent = all(
         reference[n] == stored[n - 1] for n in range(1, min(n_eff, len(stored)) + 1)
     )
@@ -1001,13 +1009,11 @@ def check_conjecture(
         else:
             raise ValueError(f"unknown conjecture {conjecture!r}")
     n_eff = min(n_max, len(entry.prefix))
-    brute = count_avoiders_prefix(entry.pop(), n_eff, ceiling=n_eff)
+    brute = count_avoiders_prefix(entry.pop(), n_eff)
     expected = [1] + list(entry.prefix[:n_eff])
-    rows = tuple(
-        VerifyRow(n, expected[n], brute.counts[n], expected[n] == brute.counts[n])
-        for n in range(n_eff + 1)
+    return ConjectureReport(
+        entry.a_number, entry.pop_text, _verify_rows(expected, brute.counts)
     )
-    return ConjectureReport(entry.a_number, entry.pop_text, rows)
 
 
 def check_all_conjectures(n_max: int = 8) -> list[ConjectureReport]:

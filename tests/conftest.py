@@ -11,7 +11,7 @@ from typing import Callable
 
 import pytest
 
-from poplab.counting import count_avoiders
+from poplab.counting import count_avoiders_prefix
 from poplab.posets import parse_pop
 
 BruteCounter = Callable[[str, int], list[int]]
@@ -20,18 +20,18 @@ BruteCounter = Callable[[str, int], list[int]]
 @pytest.fixture(scope="session")
 def brute() -> BruteCounter:
     """Return ``counts(pop_text, n_max)`` giving brute-force avoider
-    counts for n = 1..n_max, memoized per (POP, n) for the session."""
+    counts for n = 1..n_max, memoized per (POP, n) for the session.
+
+    A miss fills the memo for every n <= n_max from one tree walk."""
     cache: dict[tuple[str, int], int] = {}
 
     def counts(pop_text: str, n_max: int) -> list[int]:
         pop = parse_pop(pop_text)
         text = pop.to_text()
-        out = []
-        for n in range(1, n_max + 1):
-            key = (text, n)
-            if key not in cache:
-                cache[key] = count_avoiders(pop, n, ceiling=12)
-            out.append(cache[key])
-        return out
+        if any((text, n) not in cache for n in range(1, n_max + 1)):
+            seq = count_avoiders_prefix(pop, n_max, ceiling=12)
+            for n, value in enumerate(seq.counts):
+                cache[text, n] = value
+        return [cache[text, n] for n in range(1, n_max + 1)]
 
     return counts

@@ -90,6 +90,27 @@ def test_count_ceiling_is_usage_error(capsys):
     assert "ceiling" in capsys.readouterr().err
 
 
+def test_count_nmax_passes_jobs_on(monkeypatch, capsys):
+    seen = []
+    real = cli.count_avoiders_prefix
+
+    def spy(*args, **kwargs):
+        seen.append(kwargs.get("jobs"))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "count_avoiders_prefix", spy)
+    assert main(["count", "k=3; 1>3", "--nmax", "6", "--jobs", "2"]) == 0
+    assert capsys.readouterr().out.strip() == "1,1,2,3,5,8,13"
+    assert seen == [2]
+
+
+def test_count_jobs_below_one_is_usage_error(capsys):
+    assert main(["count", "k=3; 1>3", "--n", "5", "--jobs", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--jobs" in captured.err
+
+
 def test_bad_pop_is_usage_error(capsys):
     assert main(["count", "--pop", "k=3; 1>2, 2>1", "--n", "4"]) == 2
     assert "error:" in capsys.readouterr().err
@@ -137,6 +158,11 @@ def test_verify_writes_out_file(tmp_path, capsys):
 def test_verify_unknown_id_is_usage_error(capsys):
     assert main(["verify", "--theorem", "thm-9.1"]) == 2
     assert "unknown theorem id" in capsys.readouterr().err
+
+
+def test_verify_past_ceiling_is_usage_error(capsys):
+    assert main(["verify", "thm-3.15", "--nmax", "11"]) == 2
+    assert "ceiling" in capsys.readouterr().err
 
 
 def test_verify_failure_gives_exit_one(monkeypatch, capsys):
@@ -266,6 +292,21 @@ def test_scan_env_override(tmp_path, monkeypatch, capsys):
 def test_scan_missing_database_is_io_error(capsys):
     assert main(["scan", "--length", "3", "--nmax", "6", "--oeis", "/no/file"]) == 3
     assert "error:" in capsys.readouterr().err
+
+
+def test_scan_jobs_below_one_is_usage_error(capsys):
+    assert main(["scan", "--length", "3", "--nmax", "4", "--jobs", "-2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--jobs" in captured.err
+
+
+def test_scan_past_ceiling_is_usage_error(capsys):
+    assert main(["scan", "--length", "3", "--nmax", "11"]) == 2
+    assert "ceiling" in capsys.readouterr().err
+    # The refusal also crosses back from a pool worker.
+    assert main(["scan", "--length", "3", "--nmax", "11", "--jobs", "2"]) == 2
+    assert "ceiling" in capsys.readouterr().err
 
 
 def test_scan_length_four_recovers_every_catalogued_sequence():

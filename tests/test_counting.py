@@ -7,6 +7,7 @@ import random
 import pytest
 
 from poplab.counting import (
+    SPLIT_DEPTH,
     CeilingExceeded,
     CountSequence,
     count_avoiders,
@@ -36,18 +37,21 @@ SAMPLE_POPS = [
     "k=5; 1>5",
 ]
 
+# Seeded sample of length-5 POPs for the oracle agreement checks.
+SAMPLE_POPS_5 = [p.to_text() for p in random.Random(503).sample(enumerate_pops(5), 12)]
+
 # ----------------------------------------------------------------------
 # Agreement of the three independent counters
 
 
-@pytest.mark.parametrize("pop_text", SAMPLE_POPS)
+@pytest.mark.parametrize("pop_text", SAMPLE_POPS + SAMPLE_POPS_5)
 def test_pruned_counter_matches_filter_oracle(pop_text):
     pop = parse_pop(pop_text)
-    for n in range(0, 7):
+    for n in range(0, 8):
         assert count_avoiders(pop, n) == naive_count_avoiders(pop, n)
 
 
-@pytest.mark.parametrize("pop_text", SAMPLE_POPS)
+@pytest.mark.parametrize("pop_text", SAMPLE_POPS + SAMPLE_POPS_5)
 def test_pruned_counter_matches_pattern_set_counter(pop_text):
     pop = parse_pop(pop_text)
     patterns = linear_extensions(pop)
@@ -97,6 +101,13 @@ def test_parallel_count_equals_serial():
     pop = parse_pop("k=4; 1>2, 1>3, 4>2, 4>3")
     for n in (5, 7):
         assert count_avoiders(pop, n, jobs=2) == count_avoiders(pop, n)
+    # Whole prefixes, with n_max below, at and above the split depth,
+    # and for a POP longer than n_max.
+    for text in ("k=4; 1>2, 1>3, 4>2, 4>3", "k=3; 1>3", "k=5; 1>5"):
+        pop = parse_pop(text)
+        for n_max in (0, 2, SPLIT_DEPTH - 1, SPLIT_DEPTH, SPLIT_DEPTH + 1, 7):
+            serial = count_avoiders_prefix(pop, n_max, jobs=1)
+            assert count_avoiders_prefix(pop, n_max, jobs=2) == serial
 
 
 # ----------------------------------------------------------------------

@@ -7,8 +7,9 @@ Subcommands:
     scan         enumerate all POPs of one length, count, and match
     conjectures  recheck the conjectured identifications
 
-Exit codes: 0 success, 1 a verification or conjecture mismatch,
-2 usage error (including a count past the ceiling), 3 I/O error.
+Exit codes: 0 success, 1 a verification or conjecture mismatch or a
+conjecture with no evidence (n below k), 2 usage error (including a
+count past the ceiling), 3 I/O error.
 """
 
 from __future__ import annotations

@@ -10,7 +10,15 @@ earlier occurrence would already have pruned an ancestor.  One
 depth-first walk of the tree to depth n_max therefore gives every count
 for n <= n_max at once.
 
-A parallel count collects the avoiders at depth ``SPLIT_DEPTH`` and maps
+The test "does a new entry of rank r complete an occurrence?" is
+generated once per POP per process as nested loops over the parent
+(``perms._compiled_ends``), so no child is built to be tested.  Each
+node also carries its active sites: an occurrence that prunes rank s
+stays in every descendant, so a child tests only the images of the
+ranks its parent kept (the enumeration-scheme idea; Zeilberger, Ann.
+Comb. 2, 1998).  The avoiders of length n_max are counted, not built.
+
+A parallel count collects the nodes at depth ``SPLIT_DEPTH`` and maps
 the same subtree walk over them in a process pool, where the serial
 count uses the builtin ``map``; the parts are summed in a fixed order,
 so the result is identical for every job count.  All arithmetic is
@@ -24,9 +32,9 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 from itertools import permutations
-from typing import Iterator, Sequence
+from typing import Callable, Sequence
 
-from .perms import Permutation, _Constraints, _ends_at_last, _slot_constraints
+from .perms import Permutation, _compiled_ends
 from .posets import Pop
 
 DEFAULT_CEILING = 10
@@ -66,26 +74,35 @@ class CountSequence:
         return self.counts[1:]
 
 
-def _children(perm: list[int], k: int, cons: _Constraints) -> Iterator[list[int]]:
-    """The avoiding children of an avoider, by relative rank of the new entry."""
-    for r in range(1, len(perm) + 2):
-        child = [v + (v >= r) for v in perm]
-        child.append(r)
-        if not _ends_at_last(child, k, cons):
-            yield child
+# A tree node: an avoider and its active sites, the ranks its children may take.
+_Node = tuple[list[int], list[int]]
 
 
-def _subtree_counts(
-    k: int, cons: _Constraints, n_max: int, root: list[int]
-) -> list[int]:
-    """``counts[m]``: avoiders of length m in the subtree below ``root``,
-    the root itself included, for m = 0..n_max."""
+def _child_nodes(ends: Callable[[list[int], int], bool], node: _Node) -> list[_Node]:
+    """The avoiding children of a node.  Below the child of rank r, the
+    kept ranks s <= r stay and the kept ranks s >= r become s + 1."""
+    perm, active = node
+    kept = [r for r in active if not ends(perm, r)]
+    return [
+        ([v + (v >= r) for v in perm] + [r], kept[: i + 1] + [s + 1 for s in kept[i:]])
+        for i, r in enumerate(kept)
+    ]
+
+
+def _subtree_counts(pop: Pop, n_max: int, root: _Node) -> list[int]:
+    """``counts[m]``: avoiders of length m strictly below ``root``, for
+    m = 0..n_max; the avoiders of length n_max are counted, not built."""
+    ends = _compiled_ends(pop)
     counts = [0] * (n_max + 1)
 
-    def walk(perm: list[int]) -> None:
-        counts[len(perm)] += 1
-        if len(perm) < n_max:
-            for child in _children(perm, k, cons):
+    def walk(node: _Node) -> None:
+        perm, active = node
+        if len(perm) + 1 == n_max:
+            counts[n_max] += len([r for r in active if not ends(perm, r)])
+        else:
+            children = _child_nodes(ends, node)
+            counts[len(perm) + 1] += len(children)
+            for child in children:
                 walk(child)
 
     walk(root)
@@ -106,14 +123,15 @@ def count_avoiders_prefix(
         raise CeilingExceeded(n_max, ceiling)
     if pop.k > n_max:
         return CountSequence(pop, tuple(math.factorial(n) for n in range(n_max + 1)))
-    cons = _slot_constraints(pop)
-    depth = min(SPLIT_DEPTH, n_max)
+    ends = _compiled_ends(pop)
     counts = [0] * (n_max + 1)
-    level: list[list[int]] = [[]]
+    depth = min(SPLIT_DEPTH, n_max - 1)
+    level: list[_Node] = [([], [1])]
     for m in range(depth):
         counts[m] = len(level)
-        level = [child for perm in level for child in _children(perm, pop.k, cons)]
-    walk = partial(_subtree_counts, pop.k, cons, n_max)
+        level = [child for node in level for child in _child_nodes(ends, node)]
+    counts[depth] = len(level)
+    walk = partial(_subtree_counts, pop, n_max)
     if jobs <= 1:
         parts = list(map(walk, level))
     else:

@@ -9,7 +9,8 @@ Conventions:
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
+from functools import lru_cache
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
 if TYPE_CHECKING:
     from .posets import Pop
@@ -236,54 +237,35 @@ def has_cycle_interval_property(perm: Permutation, k: int) -> bool:
     return perm.max_cycle_interval_width() <= k - 1
 
 
-# cons[j], for slot j of the pattern, lists (i, want_less) checks of the
-# candidate value against the values already assigned to slots i; slot
-# k-1 is pinned to the last position of the prefix and assigned first.
-_Constraints = tuple[tuple[tuple[int, bool], ...], ...]
-
-
-def _slot_constraints(pop: "Pop") -> _Constraints:
+@lru_cache(maxsize=1024)
+def _compiled_ends(pop: "Pop") -> Callable[[Sequence[int], int], bool]:
+    """Generate ``ends(parent, r)`` for ``pop``, once per POP: does a new
+    last entry of relative rank r, appended to ``parent``, complete an
+    occurrence?  Labels 1..k-1 get one nested loop each over the parent,
+    with their checks inlined; label k is the new entry, which lies
+    above an old value v exactly when v < r.  Values are distinct, so
+    every "above" check can be written ``>=``."""
     k = pop.k
     below = pop.below
-    cons = []
+    lines = ["def ends(p, r):", "    m = len(p)"]
+    pad = "    "
     for j in range(k - 1):
-        row = []
-        for i in (k - 1, *range(j)):
-            if below[j][i]:
-                row.append((i, True))
-            elif below[i][j]:
-                row.append((i, False))
-        cons.append(tuple(row))
-    return tuple(cons)
-
-
-def _ends_at_last(prefix: Sequence[int], k: int, cons: _Constraints) -> bool:
-    """Does an occurrence of the compiled POP end at the last position?"""
-    m = len(prefix)
-    if m < k:
-        return False
-    if k == 1:
-        return True
-    vals = [0] * k
-    vals[k - 1] = prefix[m - 1]
-    last_slot = k - 2
-
-    def extend(j: int, start: int) -> bool:
-        checks = cons[j]
-        for pos in range(start, m - k + j + 1):
-            v = prefix[pos]
-            for i, want_less in checks:
-                if (v < vals[i]) != want_less:
-                    break
-            else:
-                if j == last_slot:
-                    return True
-                vals[j] = v
-                if extend(j + 1, pos + 1):
-                    return True
-        return False
-
-    return extend(0, 0)
+        start = f"i{j - 1} + 1" if j else "0"
+        lines.append(f"{pad}for i{j} in range({start}, m - {k - 2 - j}):")
+        lines.append(f"{pad}    v{j} = p[i{j}]")
+        pad += "    "
+        tests = [
+            f"v{j} {'<' if below[j][i] else '>='} {f'v{i}' if i < j else 'r'}"
+            for i in (k - 1, *range(j))
+            if below[j][i] or below[i][j]
+        ]
+        if tests:
+            lines.append(f"{pad}if {' and '.join(tests)}:")
+            pad += "    "
+    lines += [f"{pad}return True", "    return False"]
+    namespace: dict = {}
+    exec("\n".join(lines), namespace)
+    return namespace["ends"]
 
 
 def contains_pop_ending_at_last(perm: Permutation, pop: "Pop") -> bool:
@@ -293,6 +275,10 @@ def contains_pop_ending_at_last(perm: Permutation, pop: "Pop") -> bool:
     This is the incremental question a left-to-right enumerator asks
     after appending one entry: occurrences ending earlier were already
     ruled out at previous steps.  It runs the counting engine's own
-    matcher.
+    compiled matcher on the standardized rest of ``perm``.
     """
-    return _ends_at_last(perm.values, pop.k, _slot_constraints(pop))
+    vals = perm.values
+    if not vals:
+        return False
+    last = vals[-1]
+    return _compiled_ends(pop)([v - (v > last) for v in vals[:-1]], last)

@@ -21,7 +21,8 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
-from .counting import count_avoiders_prefix, count_cycle_interval_perms
+from .counting import CYCLE_CEILING, CeilingExceeded, count_avoiders_prefix
+from .counting import count_cycle_interval_perms
 from .posets import Pop, parse_pop
 from .series import (
     TruncatedSeries,
@@ -124,10 +125,10 @@ def _family_gap_tail(n_max: int, k: int) -> list[int]:
 
 def _family_cycle_interval(n_max: int, k: int) -> list[int]:
     # The bijection side: permutations whose cycles fit in length-(k-1)
-    # intervals of values.
-    return [
-        count_cycle_interval_perms(k, n, ceiling=n_max) for n in range(n_max + 1)
-    ]
+    # intervals of values.  Refuse an oversized n before filtering any S_n.
+    if n_max > CYCLE_CEILING:
+        raise CeilingExceeded(n_max, CYCLE_CEILING)
+    return [count_cycle_interval_perms(k, n) for n in range(n_max + 1)]
 
 
 def _seq_powers_plus_linear(n_max: int, k: int) -> list[int]:
@@ -958,18 +959,22 @@ CONJECTURES: tuple[ConjectureEntry, ...] = (
 class ConjectureReport:
     a_number: str
     pop_text: str
+    k: int
     rows: tuple[VerifyRow, ...]
 
     @property
     def supported(self) -> bool:
-        return all(r.match for r in self.rows)
+        # Every count below n = k is n!, so only rows with n >= k are evidence.
+        return self.rows[-1].n >= self.k and all(r.match for r in self.rows)
 
     @property
     def status(self) -> str:
         if self.supported:
             return f"SUPPORTED (n <= {self.rows[-1].n})"
-        worst = next(r.n for r in self.rows if not r.match)
-        return f"MISMATCH at n = {worst}"
+        worst = next((r.n for r in self.rows if not r.match), None)
+        if worst is not None:
+            return f"MISMATCH at n = {worst}"
+        return f"NO EVIDENCE (n <= {self.rows[-1].n} < k = {self.k})"
 
     def to_json(self) -> dict:
         return {
@@ -1009,10 +1014,11 @@ def check_conjecture(
         else:
             raise ValueError(f"unknown conjecture {conjecture!r}")
     n_eff = min(n_max, len(entry.prefix))
-    brute = count_avoiders_prefix(entry.pop(), n_eff)
+    pop = entry.pop()
+    brute = count_avoiders_prefix(pop, n_eff)
     expected = [1] + list(entry.prefix[:n_eff])
     return ConjectureReport(
-        entry.a_number, entry.pop_text, _verify_rows(expected, brute.counts)
+        entry.a_number, entry.pop_text, pop.k, _verify_rows(expected, brute.counts)
     )
 
 

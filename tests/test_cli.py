@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import importlib.metadata
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -165,6 +166,12 @@ def test_verify_past_ceiling_is_usage_error(capsys):
     assert "ceiling" in capsys.readouterr().err
 
 
+def test_verify_past_cycle_filter_ceiling_is_usage_error(capsys):
+    # The engine counts n = 10, but the bijection's S_n filter stops at 9.
+    assert main(["verify", "thm-2.6", "--nmax", "10"]) == 2
+    assert "ceiling" in capsys.readouterr().err
+
+
 def test_verify_failure_gives_exit_one(monkeypatch, capsys):
     report = cli.verify_theorem("thm-2.2", 5)
     failing = type(report)(
@@ -193,17 +200,29 @@ def test_unwritable_out_is_io_error(capsys):
 
 
 def test_conjectures_text(capsys):
-    assert main(["conjectures", "--nmax", "4"]) == 0
+    assert main(["conjectures", "--nmax", "5"]) == 0
     out = capsys.readouterr().out
     assert out.count("SUPPORTED") == 6
     assert "A216879" in out
 
 
 def test_conjectures_json(capsys):
-    assert main(["conjectures", "--nmax", "4", "--json"]) == 0
+    assert main(["conjectures", "--nmax", "5", "--json"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["schema"] == 1
     assert len(doc["conjectures"]) == 6
+
+
+@pytest.mark.parametrize("nmax", [0, 4])
+def test_conjectures_below_k_report_no_evidence(capsys, nmax):
+    # Every count below n = k is n!, so it supports nothing.
+    assert main(["conjectures", "--nmax", str(nmax)]) == 1
+    out = capsys.readouterr().out
+    assert "SUPPORTED" not in out
+    assert out.count(f"NO EVIDENCE (n <= {nmax} < k = 5)") == 6
+    assert main(["conjectures", "--nmax", str(nmax), "--json"]) == 1
+    doc = json.loads(capsys.readouterr().out)
+    assert not any(c["supported"] for c in doc["conjectures"])
 
 
 def test_conjecture_mismatch_gives_exit_one(monkeypatch, capsys):
@@ -369,3 +388,17 @@ def test_console_script_is_registered(tmp_path):
         group="console_scripts", name="poplab"
     )
     assert [e.value for e in installed_scripts] == ["poplab.cli:main"]
+
+
+def test_python_dash_m_runs_the_cli():
+    env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
+    done = subprocess.run(
+        [sys.executable, "-m", "poplab", "count", "k=3; 1>3", "--nmax", "5"],
+        cwd=REPO_ROOT,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "1,1,2,3,5,8"

@@ -1,0 +1,88 @@
+"""Property tests: the generating-tree engine against the oracles on
+random POPs with k <= 5.
+
+Examples are derandomized, so every run checks the same POPs, and the
+example counts are bounded to keep the file to a few seconds.
+"""
+
+from __future__ import annotations
+
+import pytest
+
+from poplab.counting import (
+    count_avoiders_pattern_set,
+    count_avoiders_prefix,
+    naive_count_avoiders,
+)
+from poplab.perms import Permutation, contains_pop_ending_at_last
+from poplab.posets import Pop, linear_extensions, symmetry_orbit
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+N_MAX = 6
+
+
+def _settings(max_examples: int) -> settings:
+    return settings(
+        derandomize=True, deadline=None, database=None, max_examples=max_examples
+    )
+
+
+@st.composite
+def pops(draw, max_k: int = 5) -> Pop:
+    """A random POP: relations drawn among pairs that agree with a random
+    ordering of the labels, so the relation set is acyclic."""
+    k = draw(st.integers(1, max_k))
+    order = draw(st.permutations(range(1, k + 1)))
+    pairs = [(order[i], order[j]) for i in range(k) for j in range(i + 1, k)]
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return Pop.from_relations(k, [pair for pair, kept in zip(pairs, keep) if kept])
+
+
+@st.composite
+def permutations_up_to(draw, n_max: int) -> Permutation:
+    n = draw(st.integers(0, n_max))
+    return Permutation(draw(st.permutations(range(1, n + 1))))
+
+
+@_settings(80)
+@given(pops())
+def test_engine_matches_naive_filter(pop):
+    counts = count_avoiders_prefix(pop, N_MAX).counts
+    assert list(counts) == [naive_count_avoiders(pop, n) for n in range(N_MAX + 1)]
+
+
+@_settings(30)
+@given(pops())
+def test_engine_matches_pattern_set_counter(pop):
+    counts = count_avoiders_prefix(pop, N_MAX).counts
+    patterns = linear_extensions(pop)
+    assert list(counts) == [
+        count_avoiders_pattern_set(patterns, n) for n in range(N_MAX + 1)
+    ]
+
+
+@_settings(60)
+@given(pops())
+def test_counts_are_invariant_under_symmetries(pop):
+    counts = count_avoiders_prefix(pop, N_MAX + 1).counts
+    for other in symmetry_orbit(pop):
+        assert count_avoiders_prefix(other, N_MAX + 1).counts == counts
+
+
+@_settings(10)
+@given(pops())
+def test_counts_do_not_depend_on_jobs(pop):
+    assert (
+        count_avoiders_prefix(pop, N_MAX + 1, jobs=2).counts
+        == count_avoiders_prefix(pop, N_MAX + 1, jobs=1).counts
+    )
+
+
+@_settings(400)
+@given(pops(), permutations_up_to(8))
+def test_compiled_matcher_matches_occurrence_oracle(pop, perm):
+    ends_last = any(occ[-1] == perm.n for occ in perm.pop_occurrences(pop))
+    assert contains_pop_ending_at_last(perm, pop) == ends_last

@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import pytest
 
+import poplab.theorems as theorems
+from poplab.counting import CYCLE_CEILING, CeilingExceeded
 from poplab.theorems import (
     CONJECTURES,
     THEOREMS,
@@ -32,6 +34,16 @@ def test_unknown_id_rejected():
         get_theorem("thm-7.1")
     with pytest.raises(ValueError):
         theorem_sequence("nope", 5)
+
+
+def test_cycle_interval_reference_refuses_past_its_ceiling_at_once(monkeypatch):
+    def no_filter(*args, **kwargs):
+        raise AssertionError("the S_n filter ran before the ceiling check")
+
+    monkeypatch.setattr(theorems, "count_cycle_interval_perms", no_filter)
+    with pytest.raises(CeilingExceeded) as info:
+        theorem_sequence("thm-2.6", 11)
+    assert info.value.ceiling == CYCLE_CEILING
 
 
 def test_family_entries_register_two_lengths():
@@ -144,7 +156,7 @@ def test_check_conjecture_quickly():
 
 
 def test_check_all_conjectures_quickly():
-    reports = check_all_conjectures(n_max=4)
+    reports = check_all_conjectures(n_max=5)
     assert len(reports) == 6
     assert all(r.supported for r in reports)
 

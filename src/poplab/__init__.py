@@ -29,6 +29,7 @@ from .oeis import (
     bundled_path,
     load_stripped,
     match_sequence,
+    match_sequences,
     resolve_db,
 )
 from .perms import (
@@ -111,6 +112,7 @@ __all__ = [
     "linear_extensions",
     "load_stripped",
     "match_sequence",
+    "match_sequences",
     "monomial",
     "naive_count_avoiders",
     "parse_pop",

@@ -30,7 +30,7 @@ from .oeis import (
     DEFAULT_MIN_OVERLAP,
     OeisDb,
     OeisError,
-    match_sequence,
+    match_sequences,
     resolve_db,
 )
 from .posets import (
@@ -44,12 +44,17 @@ from .posets import (
 from .theorems import all_theorem_ids, check_all_conjectures, verify_all, verify_theorem
 
 
-def _dump_json(obj, out: str | None) -> None:
-    text = json.dumps(obj, indent=2) + "\n"
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        Path(out).write_text(text)
+def _emit(args: argparse.Namespace, payload: dict, lines: list[str]) -> None:
+    """JSON to ``--out`` or, under ``--json``, stdout; text lines unless ``--json``."""
+    if args.json or args.out:
+        text = json.dumps(payload, indent=2) + "\n"
+        if args.out is None:
+            sys.stdout.write(text)
+        else:
+            Path(args.out).write_text(text)
+    if not args.json:
+        for line in lines:
+            print(line)
 
 
 def _pop_text_arg(args: argparse.Namespace) -> str:
@@ -64,16 +69,12 @@ def _pop_text_arg(args: argparse.Namespace) -> str:
 def cmd_expand(args: argparse.Namespace) -> int:
     pop = parse_pop(_pop_text_arg(args))
     patterns = [str(p) for p in linear_extensions(pop)]
-    if args.json:
-        _dump_json(
-            {"schema": 1, "pop": pop.to_text(), "k": pop.k, "patterns": patterns},
-            args.out,
-        )
-    else:
-        for pat in patterns:
-            print(pat)
-        label = "pattern" if len(patterns) == 1 else "patterns"
-        print(f"{len(patterns)} {label}")
+    label = "pattern" if len(patterns) == 1 else "patterns"
+    _emit(
+        args,
+        {"schema": 1, "pop": pop.to_text(), "k": pop.k, "patterns": patterns},
+        patterns + [f"{len(patterns)} {label}"],
+    )
     return 0
 
 
@@ -90,27 +91,14 @@ def cmd_count(args: argparse.Namespace) -> int:
         raise ValueError("give exactly one of --n and --nmax")
     if args.n is not None:
         count = count_avoiders(pop, args.n, ceiling=args.ceiling, jobs=jobs)
-        if args.json:
-            _dump_json(
-                {"schema": 1, "pop": pop.to_text(), "n": args.n, "count": count},
-                args.out,
-            )
-        else:
-            print(count)
-        return 0
-    seq = count_avoiders_prefix(pop, args.nmax, ceiling=args.ceiling, jobs=jobs)
-    if args.json:
-        _dump_json(
-            {
-                "schema": 1,
-                "pop": pop.to_text(),
-                "n_max": args.nmax,
-                "counts": list(seq.counts),
-            },
-            args.out,
-        )
+        payload = {"schema": 1, "pop": pop.to_text(), "n": args.n, "count": count}
+        text = str(count)
     else:
-        print(",".join(str(c) for c in seq.counts))
+        seq = count_avoiders_prefix(pop, args.nmax, ceiling=args.ceiling, jobs=jobs)
+        counts = list(seq.counts)
+        payload = {"schema": 1, "pop": pop.to_text(), "n_max": args.nmax, "counts": counts}
+        text = ",".join(str(c) for c in counts)
+    _emit(args, payload, [text])
     return 0
 
 
@@ -124,26 +112,23 @@ def cmd_verify(args: argparse.Namespace) -> int:
         reports = verify_all(args.nmax)
     else:
         reports = [verify_theorem(theorem, args.nmax)]
-    payload = {"schema": 1, "reports": [r.to_json() for r in reports]}
-    if args.json or args.out:
-        _dump_json(payload, args.out)
-    if not args.json:
-        for r in reports:
-            print(r.to_text())
     failed = [r for r in reports if not r.passed]
-    if not args.json:
-        print(f"{len(reports) - len(failed)}/{len(reports)} entries verified")
+    _emit(
+        args,
+        {"schema": 1, "reports": [r.to_json() for r in reports]},
+        [r.to_text() for r in reports]
+        + [f"{len(reports) - len(failed)}/{len(reports)} entries verified"],
+    )
     return 1 if failed else 0
 
 
 def cmd_conjectures(args: argparse.Namespace) -> int:
     reports = check_all_conjectures(args.nmax)
-    if args.json or args.out:
-        payload = {"schema": 1, "conjectures": [r.to_json() for r in reports]}
-        _dump_json(payload, args.out)
-    if not args.json:
-        for r in reports:
-            print(r.to_text())
+    _emit(
+        args,
+        {"schema": 1, "conjectures": [r.to_json() for r in reports]},
+        [r.to_text() for r in reports],
+    )
     return 0 if all(r.supported for r in reports) else 1
 
 
@@ -185,14 +170,11 @@ def scan_pops(
 
     distinct = sorted({tuple(c) for c in all_counts})
     class_index = {counts: i + 1 for i, counts in enumerate(distinct)}
+    all_matches = [[] for _ in all_counts]
+    if db is not None and n_max >= DEFAULT_MIN_OVERLAP:
+        all_matches = match_sequences(db, [counts[1:] for counts in all_counts])
     entries = []
-    for (code, text, members), counts in zip(reps, all_counts):
-        terms = counts[1:]
-        matches = (
-            match_sequence(db, terms)
-            if db is not None and len(terms) >= DEFAULT_MIN_OVERLAP
-            else []
-        )
+    for (code, text, members), counts, matches in zip(reps, all_counts, all_matches):
         entries.append(
             {
                 "pop": text,
@@ -234,23 +216,21 @@ def cmd_scan(args: argparse.Namespace) -> int:
     jobs = _jobs_arg(args)
     db = resolve_db(args.oeis)
     result = scan_pops(args.length, args.nmax, db=db, jobs=jobs)
-    if args.json or args.out:
-        _dump_json(result, args.out)
-    if not args.json:
-        print(
-            f"{result['pop_count']} POPs of length {result['length']}: "
-            f"{result['orbit_count']} symmetry orbits (exact), "
-            f"{result['wilf_class_count']} distinct count sequences "
-            f"at n <= {result['n_max']} (empirical)"
+    lines = [
+        f"{result['pop_count']} POPs of length {result['length']}: "
+        f"{result['orbit_count']} symmetry orbits (exact), "
+        f"{result['wilf_class_count']} distinct count sequences "
+        f"at n <= {result['n_max']} (empirical)"
+    ]
+    for entry in result["orbits"]:
+        marker = "*" if entry["representative"] else " "
+        ids = ",".join(m["a_number"] for m in entry["oeis_matches"]) or "-"
+        terms = ",".join(str(c) for c in entry["counts"][1:])
+        lines.append(
+            f"{marker} class {entry['wilf_class']:3d}  "
+            f"{entry['pop']:<40s} [{terms}] {ids}"
         )
-        for entry in result["orbits"]:
-            marker = "*" if entry["representative"] else " "
-            ids = ",".join(m["a_number"] for m in entry["oeis_matches"]) or "-"
-            terms = ",".join(str(c) for c in entry["counts"][1:])
-            print(
-                f"{marker} class {entry['wilf_class']:3d}  "
-                f"{entry['pop']:<40s} [{terms}] {ids}"
-            )
+    _emit(args, result, lines)
     return 0
 
 

@@ -147,43 +147,61 @@ def match_sequence(
     min_overlap: int = DEFAULT_MIN_OVERLAP,
     max_shift: int = DEFAULT_MAX_SHIFT,
 ) -> list[Match]:
-    """Find stored sequences consistent with computed terms.
+    """Find stored sequences consistent with one run of computed terms;
+    see ``match_sequences``."""
+    return match_sequences(db, [terms], min_overlap=min_overlap, max_shift=max_shift)[0]
 
-    ``terms`` are the counts from n = 1 upward.  For each stored
+
+def match_sequences(
+    db: OeisDb,
+    queries: Sequence[Sequence[int]],
+    *,
+    min_overlap: int = DEFAULT_MIN_OVERLAP,
+    max_shift: int = DEFAULT_MAX_SHIFT,
+) -> list[list[Match]]:
+    """Find stored sequences consistent with each run of computed terms.
+
+    Each query holds the counts from n = 1 upward.  For each stored
     sequence the matcher may skip up to ``max_shift`` leading stored
     terms (the shift) and up to ``max_shift`` leading computed terms
     (the drop), and it reports an alignment only when at least
     ``min_overlap`` terms compare equal.  Each A-number contributes at
-    most one Match, the one minimizing (dropped, shift); results come
-    back sorted by (shift, A-number).  Supplying fewer than
-    ``min_overlap`` computed terms raises OeisError.
+    most one Match per query, the one minimizing (dropped, shift);
+    each query's results come back sorted by (shift, A-number).  A
+    query with fewer than ``min_overlap`` terms raises OeisError.
+
+    The database is read once: each row looks up its window at each
+    shift in a dict of every query's allowed drops, and a hit counts
+    only when the whole overlap compares equal.  No index is kept.
     """
     if min_overlap < 1:
         raise ValueError(f"min_overlap must be positive, got {min_overlap}")
     if max_shift < 0:
         raise ValueError(f"max_shift must be nonnegative, got {max_shift}")
-    computed = tuple(int(t) for t in terms)
-    if len(computed) < min_overlap:
-        raise OeisError(
-            f"too few terms: got {len(computed)}, need at least {min_overlap}"
-        )
-    found: list[Match] = []
+    blocks = [tuple(int(t) for t in terms) for terms in queries]
+    windows: dict[tuple[int, ...], list[tuple[int, int]]] = {}
+    for q, computed in enumerate(blocks):
+        if len(computed) < min_overlap:
+            raise OeisError(
+                f"too few terms: got {len(computed)}, need at least {min_overlap}"
+            )
+        for dropped in range(min(max_shift, len(computed) - min_overlap) + 1):
+            key = computed[dropped : dropped + min_overlap]
+            windows.setdefault(key, []).append((q, dropped))
+    found: list[list[Match]] = [[] for _ in blocks]
     for a_number, stored in db.items():
-        best: Match | None = None
-        for dropped in range(max_shift + 1):
-            block = computed[dropped:]
-            if len(block) < min_overlap:
-                break
-            for shift in range(max_shift + 1):
+        best: dict[int, Match] = {}
+        # Shifts ascend, so a later hit wins only with a smaller drop.
+        for shift in range(min(max_shift, len(stored) - min_overlap) + 1):
+            for q, dropped in windows.get(stored[shift : shift + min_overlap], ()):
+                block = blocks[q][dropped:]
                 ncmp = min(len(block), len(stored) - shift)
-                if ncmp < min_overlap:
-                    break
-                if block[:ncmp] == stored[shift : shift + ncmp]:
-                    best = Match(a_number, shift, dropped, ncmp)
-                    break
-            if best is not None:
-                break
-        if best is not None:
-            found.append(best)
-    found.sort(key=lambda m: (m.shift, m.a_number))
+                if block[:ncmp] == stored[shift : shift + ncmp] and (
+                    q not in best or dropped < best[q].dropped
+                ):
+                    best[q] = Match(a_number, shift, dropped, ncmp)
+        for q, match in best.items():
+            found[q].append(match)
+    for matches in found:
+        matches.sort(key=lambda m: (m.shift, m.a_number))
     return found

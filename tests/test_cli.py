@@ -117,6 +117,26 @@ def test_bad_pop_is_usage_error(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["count", "k=3; 1>3", "--n", "5"],
+        ["count", "k=3; 1>3", "--nmax", "5"],
+        ["expand", "k=3;"],
+    ],
+)
+def test_out_without_json_writes_the_json_document(tmp_path, capsys, argv):
+    assert main(argv + ["--json"]) == 0
+    document = capsys.readouterr().out
+    assert main(argv) == 0
+    text = capsys.readouterr().out
+    out_file = tmp_path / "out.json"
+    assert main(argv + ["--out", str(out_file)]) == 0
+    assert out_file.read_text() == document
+    # Text still goes to stdout when --json was not passed.
+    assert capsys.readouterr().out == text
+
+
 # ----------------------------------------------------------------------
 # verify
 

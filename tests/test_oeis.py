@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import os
+import random
 
 import pytest
 
@@ -10,7 +11,9 @@ from poplab.oeis import (
     OeisFormatWarning,
     bundled_path,
     load_stripped,
+    Match,
     match_sequence,
+    match_sequences,
     resolve_db,
 )
 
@@ -191,3 +194,106 @@ def test_match_is_deterministic():
     first = match_sequence(db, terms)
     assert first == match_sequence(db, terms)
     assert all(m.overlap >= 7 for m in first)
+
+
+# ----------------------------------------------------------------------
+# Batch matching against a linear reference
+
+
+def linear_match(db, terms, *, min_overlap, max_shift):
+    """Oracle: try every (drop, shift) alignment against every row in turn."""
+    computed = tuple(terms)
+    found = []
+    for a_number, stored in db.items():
+        best = None
+        for dropped in range(max_shift + 1):
+            block = computed[dropped:]
+            if len(block) < min_overlap:
+                break
+            for shift in range(max_shift + 1):
+                ncmp = min(len(block), len(stored) - shift)
+                if ncmp < min_overlap:
+                    break
+                if block[:ncmp] == stored[shift : shift + ncmp]:
+                    best = Match(a_number, shift, dropped, ncmp)
+                    break
+            if best is not None:
+                break
+        if best is not None:
+            found.append(best)
+    found.sort(key=lambda m: (m.shift, m.a_number))
+    return found
+
+
+def synthetic_db(tmp_path, seed: int):
+    """A seeded stripped file of a few thousand rows, and queries whose
+    matches sit at every shift and drop up to 4."""
+    rng = random.Random(seed)
+    bases = [tuple(rng.randrange(1, 10**6) for _ in range(12)) for _ in range(6)]
+    queries = [list(base[:9]) for base in bases]
+    # Leading junk in the query: only dropping 1 to 4 terms aligns it.
+    queries += [[rng.randrange(10**6, 2 * 10**6)] * d + list(base[:9]) for d, base in zip(range(1, 5), bases)]
+    # A small alphabet, so windows recur within and across rows.
+    queries += [[rng.randrange(2) for _ in range(rng.randrange(7, 12))] for _ in range(12)]
+    queries += [[1, 2] * 5, [7] * 9]
+    queries += queries[:3]  # duplicates in one batch
+    rows = []
+    for base in bases:
+        for shift in range(6):
+            junk = [rng.randrange(2 * 10**6, 3 * 10**6) for _ in range(shift)]
+            rows.append(junk + list(base))
+            near = list(base)
+            near[rng.randrange(7, 12)] += 1  # shares a window, fails the overlap
+            rows.append(junk + near)
+        rows.append(list(base[:8]))  # too short for shifts past 1
+    rows += [[2, 1] * 6, [1, 2] * 4, [7] * 14, [5, 5] + [7] * 7]  # windows at two shifts
+    rows += [[rng.randrange(2) for _ in range(rng.randrange(1, 15))] for _ in range(2500)]
+    rows += [[rng.randrange(10**3) for _ in range(rng.randrange(1, 15))] for _ in range(500)]
+    rng.shuffle(rows)
+    text = "".join(f"A{i:06d} ,{','.join(map(str, row))},\n" for i, row in enumerate(rows))
+    path = tmp_path / "stripped"
+    path.write_text("# seeded synthetic rows\n" + text)
+    return load_stripped(path), queries
+
+
+@pytest.mark.parametrize("min_overlap,max_shift", [(7, 4), (5, 2), (8, 6)])
+def test_match_sequences_equals_linear_reference(tmp_path, min_overlap, max_shift):
+    db, queries = synthetic_db(tmp_path, seed=2024)
+    queries = [q for q in queries if len(q) >= min_overlap]
+    kw = {"min_overlap": min_overlap, "max_shift": max_shift}
+    want = [linear_match(db, q, **kw) for q in queries]
+    assert match_sequences(db, queries, **kw) == want
+    assert [match_sequence(db, q, **kw) for q in queries[:8]] == want[:8]
+    found = [m for matches in want for m in matches]
+    assert {m.shift for m in found} == set(range(max_shift + 1))
+    assert {m.dropped for m in found} >= set(range(min(max_shift, 4) + 1))
+
+
+def test_match_prefers_smaller_drop_at_a_later_shift():
+    # Dropping one term aligns at shift 0, dropping none at shift 1.
+    db = db_from({"A000001": (2, 1, 2, 1, 2, 1, 2, 1, 2, 1)})
+    terms = [1, 2, 1, 2, 1, 2, 1, 2, 1]
+    [matches] = match_sequences(db, [terms])
+    assert [(m.shift, m.dropped, m.overlap) for m in matches] == [(1, 0, 9)]
+
+
+def test_match_sequences_empty_batch():
+    db = load_stripped(bundled_path())
+    assert match_sequences(db, []) == []
+
+
+def test_match_rejects_bad_parameters():
+    db = db_from({"A000045": (1, 1, 2, 3, 5, 8, 13, 21, 34)})
+    terms = [1, 1, 2, 3, 5, 8, 13, 21, 34]
+    for match in (match_sequence, lambda db, t, **kw: match_sequences(db, [t], **kw)):
+        with pytest.raises(ValueError, match="min_overlap"):
+            match(db, terms, min_overlap=0)
+        with pytest.raises(ValueError, match="max_shift"):
+            match(db, terms, max_shift=-1)
+
+
+def test_match_sequences_short_query_anywhere_raises():
+    db = db_from({"A000045": (1, 1, 2, 3, 5, 8, 13, 21, 34)})
+    good = [1, 1, 2, 3, 5, 8, 13, 21, 34]
+    with pytest.raises(OeisError, match="too few terms"):
+        match_sequences(db, [good, good[:6], good])

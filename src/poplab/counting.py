@@ -10,13 +10,13 @@ earlier occurrence would already have pruned an ancestor.  One
 depth-first walk of the tree to depth n_max therefore gives every count
 for n <= n_max at once.
 
-The test "does a new entry of rank r complete an occurrence?" is
-generated once per POP per process as nested loops over the parent
-(``perms._compiled_ends``), so no child is built to be tested.  Each
-node also carries its active sites: an occurrence that prunes rank s
-stays in every descendant, so a child tests only the images of the
-ranks its parent kept (the enumeration-scheme idea; Zeilberger, Ann.
-Comb. 2, 1998).  The avoiders of length n_max are counted, not built.
+A node carries a bitmask of its active sites: an occurrence that prunes
+rank s stays in every descendant, so a child tests only the images of
+the ranks its parent kept (the enumeration-scheme idea; Zeilberger, Ann.
+Comb. 2, 1998).  ``perms._compiled_keep``, generated once per POP per
+process as nested loops over the parent, tests all of a node's active
+ranks in one pass, so no child is built to be tested.  The avoiders of
+length n_max are counted, not built.
 
 A parallel count collects the nodes at depth ``SPLIT_DEPTH`` and maps
 the same subtree walk over them in a process pool, where the serial
@@ -32,9 +32,9 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 from itertools import permutations
-from typing import Callable, Sequence
+from typing import Iterator, Sequence
 
-from .perms import Permutation, _compiled_ends
+from .perms import Permutation, _compiled_keep
 from .posets import Pop
 
 DEFAULT_CEILING = 10
@@ -74,38 +74,32 @@ class CountSequence:
         return self.counts[1:]
 
 
-# A tree node: an avoider and its active sites, the ranks its children may take.
-_Node = tuple[list[int], list[int]]
+# A tree node: an avoider and the bitmask of its active sites (bit r for rank r).
+_Node = tuple[list[int], int]
 
 
-def _child_nodes(ends: Callable[[list[int], int], bool], node: _Node) -> list[_Node]:
-    """The avoiding children of a node.  Below the child of rank r, the
-    kept ranks s <= r stay and the kept ranks s >= r become s + 1."""
-    perm, active = node
-    kept = [r for r in active if not ends(perm, r)]
-    return [
-        ([v + (v >= r) for v in perm] + [r], kept[: i + 1] + [s + 1 for s in kept[i:]])
-        for i, r in enumerate(kept)
-    ]
+def _children(perm: list[int], kept: int) -> Iterator[_Node]:
+    """The child of each rank r in ``kept``: it keeps s <= r and s + 1 for s >= r."""
+    for r in range(1, len(perm) + 2):
+        if kept >> r & 1:
+            low = kept & ((2 << r) - 1)
+            yield [v + (v >= r) for v in perm] + [r], low | ((kept >> r) << (r + 1))
 
 
 def _subtree_counts(pop: Pop, n_max: int, root: _Node) -> list[int]:
     """``counts[m]``: avoiders of length m strictly below ``root``, for
     m = 0..n_max; the avoiders of length n_max are counted, not built."""
-    ends = _compiled_ends(pop)
+    keep = _compiled_keep(pop)
     counts = [0] * (n_max + 1)
 
-    def walk(node: _Node) -> None:
-        perm, active = node
-        if len(perm) + 1 == n_max:
-            counts[n_max] += len([r for r in active if not ends(perm, r)])
-        else:
-            children = _child_nodes(ends, node)
-            counts[len(perm) + 1] += len(children)
-            for child in children:
-                walk(child)
+    def walk(perm: list[int], live: int) -> None:
+        kept = keep(perm, live)
+        counts[len(perm) + 1] += kept.bit_count()
+        if len(perm) + 2 <= n_max:
+            for child in _children(perm, kept):
+                walk(*child)
 
-    walk(root)
+    walk(*root)
     return counts
 
 
@@ -123,13 +117,13 @@ def count_avoiders_prefix(
         raise CeilingExceeded(n_max, ceiling)
     if pop.k > n_max:
         return CountSequence(pop, tuple(math.factorial(n) for n in range(n_max + 1)))
-    ends = _compiled_ends(pop)
+    keep = _compiled_keep(pop)
     counts = [0] * (n_max + 1)
     depth = min(SPLIT_DEPTH, n_max - 1)
-    level: list[_Node] = [([], [1])]
+    level: list[_Node] = [([], 1 << 1)]
     for m in range(depth):
         counts[m] = len(level)
-        level = [child for node in level for child in _child_nodes(ends, node)]
+        level = [c for p, live in level for c in _children(p, keep(p, live))]
     counts[depth] = len(level)
     walk = partial(_subtree_counts, pop, n_max)
     if jobs <= 1:

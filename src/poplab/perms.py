@@ -238,47 +238,53 @@ def has_cycle_interval_property(perm: Permutation, k: int) -> bool:
 
 
 @lru_cache(maxsize=1024)
-def _compiled_ends(pop: "Pop") -> Callable[[Sequence[int], int], bool]:
-    """Generate ``ends(parent, r)`` for ``pop``, once per POP: does a new
-    last entry of relative rank r, appended to ``parent``, complete an
-    occurrence?  Labels 1..k-1 get one nested loop each over the parent,
-    with their checks inlined; label k is the new entry, which lies
-    above an old value v exactly when v < r.  Values are distinct, so
-    every "above" check can be written ``>=``."""
-    k = pop.k
-    below = pop.below
-    lines = ["def ends(p, r):", "    m = len(p)"]
+def _compiled_keep(pop: "Pop") -> Callable[[Sequence[int], int], int]:
+    """Generate ``keep(parent, live)`` for ``pop``, once per POP: the ranks
+    in the bitmask ``live`` at which a new last entry appended to ``parent``
+    completes no occurrence.  Labels 1..k-1 get one nested loop each, with
+    the order checks inlined.  A new entry of rank r lies above an old value
+    v exactly when v < r, so an occurrence forbids the ranks lo+1..hi, where
+    lo (hi) is the largest (smallest) value placed below (above) label k.
+    A branch whose interval holds no live rank is skipped."""
+    k, below = pop.k, pop.below
+    lines = ["def keep(p, live):", "    m = len(p)"]
     pad = "    "
+    unbounded = {"lo": "0", "hi": "m + 1"}
+    bound = dict(unbounded)
     for j in range(k - 1):
         start = f"i{j - 1} + 1" if j else "0"
         lines.append(f"{pad}for i{j} in range({start}, m - {k - 2 - j}):")
         lines.append(f"{pad}    v{j} = p[i{j}]")
         pad += "    "
-        tests = [
-            f"v{j} {'<' if below[j][i] else '>='} {f'v{i}' if i < j else 'r'}"
-            for i in (k - 1, *range(j))
-            if below[j][i] or below[i][j]
-        ]
+        related = [i for i in range(j) if below[j][i] or below[i][j]]
+        tests = [f"v{j} {'<' if below[j][i] else '>='} v{i}" for i in related]
+        now = dict(bound)  # the bounds as this level's test writes them
+        if below[j][k - 1] or below[k - 1][j]:
+            side, cmp = ("lo", ">") if below[j][k - 1] else ("hi", "<")
+            old = bound[side]
+            bound[side] = now[side] = f"v{j}"
+            if old != unbounded[side]:
+                bound[side] = f"{side}{j}"
+                now[side] = f"({side}{j} := v{j} if v{j} {cmp} {old} else {old})"
+        if bound != unbounded:
+            tests.append(f"live & ((2 << {now['hi']}) - (2 << {now['lo']}))")
         if tests:
             lines.append(f"{pad}if {' and '.join(tests)}:")
             pad += "    "
-    lines += [f"{pad}return True", "    return False"]
+    forbid = f"(2 << {bound['hi']}) - (2 << {bound['lo']})"
+    lines += [f"{pad}live &= ~({forbid})", f"{pad}if not live:", f"{pad}    return 0"]
+    lines.append("    return live")
     namespace: dict = {}
     exec("\n".join(lines), namespace)
-    return namespace["ends"]
+    return namespace["keep"]
 
 
 def contains_pop_ending_at_last(perm: Permutation, pop: "Pop") -> bool:
-    """True when some occurrence of ``pop`` uses the last entry of
-    ``perm`` as its final element.
-
-    This is the incremental question a left-to-right enumerator asks
-    after appending one entry: occurrences ending earlier were already
-    ruled out at previous steps.  It runs the counting engine's own
-    compiled matcher on the standardized rest of ``perm``.
-    """
+    """True when some occurrence of ``pop`` ends at the last entry of
+    ``perm``: the question a left-to-right enumerator asks after each new
+    entry, answered by the counting engine's own compiled matcher."""
     vals = perm.values
     if not vals:
         return False
     last = vals[-1]
-    return _compiled_ends(pop)([v - (v > last) for v in vals[:-1]], last)
+    return _compiled_keep(pop)([v - (v > last) for v in vals[:-1]], 1 << last) == 0

@@ -14,7 +14,7 @@ from poplab.counting import (
     count_avoiders_prefix,
     naive_count_avoiders,
 )
-from poplab.perms import Permutation, contains_pop_ending_at_last
+from poplab.perms import Permutation, _compiled_keep, contains_pop_ending_at_last
 from poplab.posets import Pop, linear_extensions, symmetry_orbit
 
 pytest.importorskip("hypothesis")
@@ -86,3 +86,20 @@ def test_counts_do_not_depend_on_jobs(pop):
 def test_compiled_matcher_matches_occurrence_oracle(pop, perm):
     ends_last = any(occ[-1] == perm.n for occ in perm.pop_occurrences(pop))
     assert contains_pop_ending_at_last(perm, pop) == ends_last
+
+
+@_settings(400)
+@given(pops(), permutations_up_to(7), st.data())
+def test_kept_rank_matcher_matches_occurrence_oracle(pop, parent, data):
+    """``keep(parent, live)`` on any set of live ranks, holes included: a
+    rank survives exactly when its child has no occurrence ending last."""
+    m = parent.n
+    ranks = data.draw(st.sets(st.integers(1, m + 1)))
+    expected = set()
+    for r in ranks:
+        child = Permutation([v + (v >= r) for v in parent] + [r])
+        if all(occ[-1] != m + 1 for occ in child.pop_occurrences(pop)):
+            expected.add(r)
+    live = sum(1 << r for r in ranks)
+    kept = _compiled_keep(pop)(list(parent.values), live)
+    assert kept == sum(1 << r for r in expected)

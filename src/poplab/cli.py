@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 from .counting import (
@@ -41,7 +40,6 @@ from .posets import (
     parse_pop,
     symmetry_orbit,
 )
-from .theorems import all_theorem_ids, check_all_conjectures, verify_all, verify_theorem
 
 
 def _emit(args: argparse.Namespace, payload: dict, lines: list[str]) -> None:
@@ -103,6 +101,8 @@ def cmd_count(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    from .theorems import verify_all, verify_theorem
+
     if args.theorem is not None and args.theorem_positional is not None:
         raise ValueError("give the entry id either positionally or with --theorem")
     theorem = args.theorem if args.theorem is not None else args.theorem_positional
@@ -123,6 +123,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_conjectures(args: argparse.Namespace) -> int:
+    from .theorems import check_all_conjectures
+
     reports = check_all_conjectures(args.nmax)
     _emit(
         args,
@@ -130,6 +132,10 @@ def cmd_conjectures(args: argparse.Namespace) -> int:
         [r.to_text() for r in reports],
     )
     return 0 if all(r.supported for r in reports) else 1
+
+
+# Length 6 has 130023 POPs; length 7 has too many to hold in memory as a list.
+MAX_SCAN_LENGTH = 6
 
 
 def _orbit_counts(pop_text: str, n_max: int) -> list[int]:
@@ -147,6 +153,11 @@ def scan_pops(
     permutations.  Grouping different orbits with equal counts is only
     empirical at the computed range.
     """
+    if length > MAX_SCAN_LENGTH:
+        raise ValueError(
+            f"scan supports POP lengths up to {MAX_SCAN_LENGTH}, got {length}; "
+            f"length 7 alone has 6129859 labelled posets"
+        )
     pops = enumerate_pops(length)
     orbits: dict[int, list] = {}
     for pop in pops:
@@ -163,6 +174,8 @@ def scan_pops(
     if jobs <= 1:
         all_counts = [_orbit_counts(text, n_max) for _, text, _ in reps]
     else:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             all_counts = list(
                 pool.map(_orbit_counts, [text for _, text, _ in reps], [n_max] * len(reps))

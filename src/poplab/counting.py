@@ -28,7 +28,6 @@ exact.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 from itertools import permutations
@@ -129,6 +128,8 @@ def count_avoiders_prefix(
     if jobs <= 1:
         parts = list(map(walk, level))
     else:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             parts = list(pool.map(walk, level))
     return CountSequence(pop, tuple(sum(col) for col in zip(counts, *parts)))

@@ -237,6 +237,10 @@ def has_cycle_interval_property(perm: Permutation, k: int) -> bool:
     return perm.max_cycle_interval_width() <= k - 1
 
 
+# CPython compiles at most 20 statically nested loops: one per label but the last.
+MAX_COMPILED_K = 21
+
+
 @lru_cache(maxsize=1024)
 def _compiled_keep(pop: "Pop") -> Callable[[Sequence[int], int], int]:
     """Generate ``keep(parent, live)`` for ``pop``, once per POP: the ranks
@@ -247,6 +251,10 @@ def _compiled_keep(pop: "Pop") -> Callable[[Sequence[int], int], int]:
     lo (hi) is the largest (smallest) value placed below (above) label k.
     A branch whose interval holds no live rank is skipped."""
     k, below = pop.k, pop.below
+    if k > MAX_COMPILED_K:
+        raise ValueError(
+            f"the compiled matcher handles POPs of at most {MAX_COMPILED_K} labels, got k={k}"
+        )
     lines = ["def keep(p, live):", "    m = len(p)"]
     pad = "    "
     unbounded = {"lo": "0", "hi": "m + 1"}
@@ -284,7 +292,7 @@ def contains_pop_ending_at_last(perm: Permutation, pop: "Pop") -> bool:
     ``perm``: the question a left-to-right enumerator asks after each new
     entry, answered by the counting engine's own compiled matcher."""
     vals = perm.values
-    if not vals:
+    if len(vals) < pop.k:
         return False
     last = vals[-1]
     return _compiled_keep(pop)([v - (v > last) for v in vals[:-1]], 1 << last) == 0

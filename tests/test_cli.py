@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import poplab.cli as cli
+import poplab.theorems as theorems
 from poplab.cli import main, scan_pops
 from poplab.oeis import bundled_path, load_stripped
 from poplab.theorems import all_theorem_ids, get_theorem
@@ -89,6 +90,14 @@ def test_count_needs_exactly_one_range_flag(capsys):
 def test_count_ceiling_is_usage_error(capsys):
     assert main(["count", "--pop", "k=3; 1>3", "--n", "12"]) == 2
     assert "ceiling" in capsys.readouterr().err
+
+
+def test_count_past_matcher_label_limit_is_usage_error(capsys):
+    chain = "k=22; " + ", ".join(f"{i}>{i + 1}" for i in range(1, 22))
+    assert main(["count", chain, "--n", "22", "--ceiling", "22"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and "at most 21 labels" in captured.err
 
 
 def test_count_nmax_passes_jobs_on(monkeypatch, capsys):
@@ -193,7 +202,7 @@ def test_verify_past_cycle_filter_ceiling_is_usage_error(capsys):
 
 
 def test_verify_failure_gives_exit_one(monkeypatch, capsys):
-    report = cli.verify_theorem("thm-2.2", 5)
+    report = theorems.verify_theorem("thm-2.2", 5)
     failing = type(report)(
         theorem_id=report.theorem_id,
         method=report.method,
@@ -203,7 +212,7 @@ def test_verify_failure_gives_exit_one(monkeypatch, capsys):
         residual_zero=report.residual_zero,
         notes=report.notes,
     )
-    monkeypatch.setattr(cli, "verify_theorem", lambda *a, **kw: failing)
+    monkeypatch.setattr(theorems, "verify_theorem", lambda *a, **kw: failing)
     assert main(["verify", "--theorem", "thm-2.2", "--nmax", "5"]) == 1
 
 
@@ -246,7 +255,7 @@ def test_conjectures_below_k_report_no_evidence(capsys, nmax):
 
 
 def test_conjecture_mismatch_gives_exit_one(monkeypatch, capsys):
-    real = cli.check_all_conjectures(4)
+    real = theorems.check_all_conjectures(4)
     rows = [r._replace(match=False) if hasattr(r, "_replace") else r for r in real[0].rows]
 
     class Failing:
@@ -258,7 +267,7 @@ def test_conjecture_mismatch_gives_exit_one(monkeypatch, capsys):
         def to_json(self):
             return {"schema": 1, "a_number": "A000000", "supported": False}
 
-    monkeypatch.setattr(cli, "check_all_conjectures", lambda n: [Failing()])
+    monkeypatch.setattr(theorems, "check_all_conjectures", lambda n: [Failing()])
     assert main(["conjectures", "--nmax", "4"]) == 1
     assert "MISMATCH" in capsys.readouterr().out
     assert rows is not None
@@ -338,6 +347,17 @@ def test_scan_jobs_below_one_is_usage_error(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "--jobs" in captured.err
+
+
+def test_scan_length_seven_is_refused_before_enumerating(monkeypatch, capsys):
+    def enumerate_pops(length):
+        raise AssertionError("scan enumerated POPs")
+
+    monkeypatch.setattr(cli, "enumerate_pops", enumerate_pops)
+    assert main(["scan", "--length", "7", "--nmax", "5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: scan supports POP lengths up to 6, got 7" in captured.err
 
 
 def test_scan_past_ceiling_is_usage_error(capsys):

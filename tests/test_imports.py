@@ -1,0 +1,94 @@
+"""What each entry point imports, checked in a fresh interpreter.
+
+``import poplab`` loads no submodule, and a command loads only what it
+runs: ``count`` neither the catalogue (``theorems``, ``series``) nor the
+process pool, ``verify`` not the pool.
+"""
+
+from __future__ import annotations
+
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
+REPO_ROOT = Path(__file__).resolve().parents[1]
+
+
+def run_fresh(script: str) -> None:
+    env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
+    done = subprocess.run(
+        [sys.executable, "-c", textwrap.dedent(script)],
+        cwd=REPO_ROOT,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+
+
+def test_import_poplab_loads_no_submodule():
+    run_fresh(
+        """
+        import sys
+        import poplab
+        loaded = [m for m in sys.modules if m.startswith("poplab.")]
+        assert not loaded, loaded
+        """
+    )
+
+
+def test_count_loads_neither_catalogue_nor_pool():
+    run_fresh(
+        """
+        import contextlib, io, sys
+        import poplab.cli
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = poplab.cli.main(["count", "k=3; 1>3", "--n", "6", "--jobs", "1"])
+        assert code == 0
+        unwanted = ["poplab.theorems", "poplab.series", "fractions", "concurrent.futures.process"]
+        loaded = [m for m in unwanted if m in sys.modules]
+        assert not loaded, loaded
+        """
+    )
+
+
+def test_verify_loads_no_pool():
+    run_fresh(
+        """
+        import contextlib, io, sys
+        import poplab.cli
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = poplab.cli.main(["verify", "thm-2.2", "--nmax", "5"])
+        assert code == 0
+        assert "poplab.theorems" in sys.modules
+        assert "concurrent.futures.process" not in sys.modules
+        """
+    )
+
+
+def test_every_public_name_resolves_to_its_submodule():
+    run_fresh(
+        """
+        import importlib
+        import poplab
+        assert set(poplab.__all__) <= set(dir(poplab))
+        names = [name for name in poplab.__all__ if name != "__version__"]
+        for name in names:
+            module = importlib.import_module(f"poplab.{poplab._EXPORTS[name]}")
+            value = getattr(poplab, name)
+            assert value is getattr(module, name), name
+            assert getattr(value, "__module__", module.__name__) == module.__name__, name
+        star = {}
+        exec("from poplab import *", star)
+        assert all(star[name] is getattr(poplab, name) for name in poplab.__all__)
+        try:
+            poplab.no_such_name
+        except AttributeError as exc:
+            assert "no_such_name" in str(exc)
+        else:
+            raise AssertionError("unknown attribute resolved")
+        """
+    )

@@ -205,6 +205,18 @@ def test_contains_pop_ending_at_last():
     assert not contains_pop_ending_at_last(Permutation((1, 2)), pop)
 
 
+def chain_pop(k: int):
+    return parse_pop(f"k={k}; " + ", ".join(f"{i}>{i + 1}" for i in range(1, k)))
+
+
+def test_matcher_label_limit():
+    # One nested loop per label but the last: CPython compiles 21 labels, not 22.
+    assert contains_pop_ending_at_last(Permutation(range(21, 0, -1)), chain_pop(21))
+    assert not contains_pop_ending_at_last(Permutation((3, 1, 2)), chain_pop(22))
+    with pytest.raises(ValueError, match="at most 21 labels"):
+        contains_pop_ending_at_last(Permutation(range(22, 0, -1)), chain_pop(22))
+
+
 def test_has_cycle_interval_property():
     assert has_cycle_interval_property(Permutation((1, 2, 3)), 2)
     assert not has_cycle_interval_property(Permutation.from_text("51234"), 5)

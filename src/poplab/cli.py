@@ -7,9 +7,9 @@ Subcommands:
     scan         enumerate all POPs of one length, count, and match
     conjectures  recheck the conjectured identifications
 
-Exit codes: 0 success, 1 a verification or conjecture mismatch or a
-conjecture with no evidence (n below k), 2 usage error (including a
-count past the ceiling), 3 I/O error.
+Exit codes: 0 success, 1 a verification or conjecture mismatch or an
+entry or conjecture with no evidence (n below k), 2 usage error
+(including a count past the ceiling), 3 I/O error.
 """
 
 from __future__ import annotations
@@ -257,8 +257,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("expand", help="print the patterns a POP stands for")
     p.add_argument("pop_positional", nargs="?", metavar="POP", help="POP text")
     p.add_argument("--pop", help="POP text, e.g. 'k=4; 1>2, 1>3'")
-    p.add_argument("--json", action="store_true")
-    p.add_argument("--out", help="write JSON to this path")
     p.set_defaults(func=cmd_expand)
 
     p = sub.add_parser("count", help="count the avoiders of a POP")
@@ -268,8 +266,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nmax", type=int, help="print counts for n = 0..nmax")
     p.add_argument("--ceiling", type=int, default=DEFAULT_CEILING)
     p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--json", action="store_true")
-    p.add_argument("--out", help="write JSON to this path")
     p.set_defaults(func=cmd_count)
 
     p = sub.add_parser("verify", help="check catalogue entries against brute force")
@@ -278,8 +274,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--theorem", help="an entry id or 'all'")
     p.add_argument("--nmax", type=int, default=8)
-    p.add_argument("--json", action="store_true")
-    p.add_argument("--out", help="write JSON to this path")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("scan", help="enumerate, count, and match all POPs of one length")
@@ -287,16 +281,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nmax", type=int, required=True)
     p.add_argument("--oeis", help="stripped file to match against")
     p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--json", action="store_true")
-    p.add_argument("--out", help="write JSON to this path")
     p.set_defaults(func=cmd_scan)
 
     p = sub.add_parser("conjectures", help="recheck the conjectured identifications")
     p.add_argument("--nmax", type=int, default=8)
-    p.add_argument("--json", action="store_true")
-    p.add_argument("--out", help="write JSON to this path")
     p.set_defaults(func=cmd_conjectures)
 
+    for p in sub.choices.values():
+        p.add_argument("--json", action="store_true")
+        p.add_argument("--out", help="write JSON to this path")
     return parser
 
 
@@ -304,10 +297,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except OeisError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except OSError as exc:
+    except (OeisError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except (CeilingExceeded, PopError, ValueError) as exc:

@@ -2,27 +2,24 @@
 
 Deleting the last entry of an avoider and standardizing what is left
 gives a shorter avoider, so the avoiders form a tree rooted at the
-empty permutation: an avoider of length m has at most m+1 children, one
-for each relative rank of a new last entry (the right-append generating
-tree; West, Discrete Math. 146, 1995).  A child is kept unless an
-occurrence of the pattern ends at its new last entry, because every
-earlier occurrence would already have pruned an ancestor.  One
-depth-first walk of the tree to depth n_max therefore gives every count
-for n <= n_max at once.
+empty permutation, one child per relative rank of a new last entry
+(the right-append generating tree; West, Discrete Math. 146, 1995).
+A child is kept unless an occurrence ends at its new last entry, as an
+earlier one would have pruned an ancestor.  One depth-first walk to
+depth n_max gives every count for n <= n_max.
 
-A node carries a bitmask of its active sites: an occurrence that prunes
-rank s stays in every descendant, so a child tests only the images of
-the ranks its parent kept (the enumeration-scheme idea; Zeilberger, Ann.
-Comb. 2, 1998).  ``perms._compiled_keep``, generated once per POP per
-process as nested loops over the parent, tests all of a node's active
-ranks in one pass, so no child is built to be tested.  The avoiders of
-length n_max are counted, not built.
+A node carries the bitmask of its live ranks: those that no occurrence
+within its older entries forbids, as a prune at a node holds in every
+descendant (the enumeration-scheme idea; Zeilberger, Ann. Comb. 2,
+1998).  So ``perms._compiled_keep``, generated once per POP per process,
+checks only the occurrences whose label k-1 is the node's last entry,
+for all live ranks in one pass.  No child is built to be tested, and
+the avoiders of length n_max are counted, not built.
 
-A parallel count collects the nodes at depth ``SPLIT_DEPTH`` and maps
-the same subtree walk over them in a process pool, where the serial
-count uses the builtin ``map``; the parts are summed in a fixed order,
-so the result is identical for every job count.  All arithmetic is
-exact.
+A parallel count maps the same subtree walk over the nodes at depth
+``SPLIT_DEPTH`` in a process pool, where the serial count uses the
+builtin ``map``; the parts are summed in a fixed order, so the result
+is identical for every job count.  All arithmetic is exact.
 """
 
 from __future__ import annotations

@@ -237,7 +237,7 @@ def has_cycle_interval_property(perm: Permutation, k: int) -> bool:
     return perm.max_cycle_interval_width() <= k - 1
 
 
-# CPython compiles at most 20 statically nested loops: one per label but the last.
+# CPython compiles at most 20 statically nested loops; the matcher nests k - 2.
 MAX_COMPILED_K = 21
 
 
@@ -245,26 +245,36 @@ MAX_COMPILED_K = 21
 def _compiled_keep(pop: "Pop") -> Callable[[Sequence[int], int], int]:
     """Generate ``keep(parent, live)`` for ``pop``, once per POP: the ranks
     in the bitmask ``live`` at which a new last entry appended to ``parent``
-    completes no occurrence.  Labels 1..k-1 get one nested loop each, with
-    the order checks inlined.  A new entry of rank r lies above an old value
-    v exactly when v < r, so an occurrence forbids the ranks lo+1..hi, where
-    lo (hi) is the largest (smallest) value placed below (above) label k.
-    A branch whose interval holds no live rank is skipped."""
+    completes no occurrence whose label k-1 is the parent's last entry.
+    Labels 1..k-2 get one nested loop each, with the order checks inlined.
+    A new entry of rank r lies above an old value v exactly when v < r, so
+    an occurrence forbids the ranks lo+1..hi, where lo (hi) is the largest
+    (smallest) value placed below (above) label k; the call returns once
+    the interval that label k-1 alone fixes holds no live rank."""
     k, below = pop.k, pop.below
     if k > MAX_COMPILED_K:
         raise ValueError(
             f"the compiled matcher handles POPs of at most {MAX_COMPILED_K} labels, got k={k}"
         )
-    lines = ["def keep(p, live):", "    m = len(p)"]
-    pad = "    "
+    if k == 1:
+        return lambda parent, live: 0
+    pin = k - 2
     unbounded = {"lo": "0", "hi": "m + 1"}
     bound = dict(unbounded)
-    for j in range(k - 1):
+    if below[pin][k - 1] or below[k - 1][pin]:
+        bound["lo" if below[pin][k - 1] else "hi"] = f"v{pin}"
+    fixed = dict(bound)
+    interval = f"(2 << {bound['hi']}) - (2 << {bound['lo']})"
+    lines = ["def keep(p, live):", "    m = len(p)", f"    if m < {k - 1}:"]
+    lines += ["        return live", f"    v{pin} = p[m - 1]"]
+    lines += [f"    if not live & ({interval}):", "        return live"]
+    pad = "    "
+    for j in range(pin):
         start = f"i{j - 1} + 1" if j else "0"
         lines.append(f"{pad}for i{j} in range({start}, m - {k - 2 - j}):")
         lines.append(f"{pad}    v{j} = p[i{j}]")
         pad += "    "
-        related = [i for i in range(j) if below[j][i] or below[i][j]]
+        related = [i for i in (pin, *range(j)) if below[j][i] or below[i][j]]
         tests = [f"v{j} {'<' if below[j][i] else '>='} v{i}" for i in related]
         now = dict(bound)  # the bounds as this level's test writes them
         if below[j][k - 1] or below[k - 1][j]:
@@ -274,14 +284,14 @@ def _compiled_keep(pop: "Pop") -> Callable[[Sequence[int], int], int]:
             if old != unbounded[side]:
                 bound[side] = f"{side}{j}"
                 now[side] = f"({side}{j} := v{j} if v{j} {cmp} {old} else {old})"
-        if bound != unbounded:
+        if bound != fixed:
             tests.append(f"live & ((2 << {now['hi']}) - (2 << {now['lo']}))")
         if tests:
             lines.append(f"{pad}if {' and '.join(tests)}:")
             pad += "    "
     forbid = f"(2 << {bound['hi']}) - (2 << {bound['lo']})"
-    lines += [f"{pad}live &= ~({forbid})", f"{pad}if not live:", f"{pad}    return 0"]
-    lines.append("    return live")
+    lines += [f"{pad}live &= ~({forbid})", f"{pad}if not live & ({interval}):"]
+    lines += [f"{pad}    return live", "    return live"]
     namespace: dict = {}
     exec("\n".join(lines), namespace)
     return namespace["keep"]
@@ -290,9 +300,15 @@ def _compiled_keep(pop: "Pop") -> Callable[[Sequence[int], int], int]:
 def contains_pop_ending_at_last(perm: Permutation, pop: "Pop") -> bool:
     """True when some occurrence of ``pop`` ends at the last entry of
     ``perm``: the question a left-to-right enumerator asks after each new
-    entry, answered by the counting engine's own compiled matcher."""
+    entry, answered by the counting engine's own compiled matcher along
+    the generating-tree path of ``perm``'s prefixes."""
     vals = perm.values
     if len(vals) < pop.k:
         return False
-    last = vals[-1]
-    return _compiled_keep(pop)([v - (v > last) for v in vals[:-1]], 1 << last) == 0
+    keep, p = _compiled_keep(pop), []
+    kept = keep(p, 1 << 1)
+    for j, v in enumerate(vals[:-1]):
+        r = 1 + sum(u < v for u in vals[:j])
+        p = [u + (u >= r) for u in p] + [r]
+        kept = keep(p, (kept & ((2 << r) - 1)) | ((kept >> r) << (r + 1)))
+    return not kept >> vals[-1] & 1

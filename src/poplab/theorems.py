@@ -805,6 +805,11 @@ class Report:
 
     @property
     def passed(self) -> bool:
+        # Every count below n = k is n!, so only rows with n >= k are evidence.
+        return self.rows[-1].n >= self.k and self._consistent
+
+    @property
+    def _consistent(self) -> bool:
         return (
             self.prefix_consistent
             and self.residual_zero is not False
@@ -834,6 +839,8 @@ class Report:
 
     def to_text(self) -> str:
         status = "PASS" if self.passed else "FAIL"
+        if self._consistent and not self.passed:
+            status = f"NO EVIDENCE (n <= {self.rows[-1].n} < k = {self.k})"
         lines = [f"{self.theorem_id} [{self.method}] k={self.k}: {status}"]
         lines.append(
             "  n:       " + " ".join(str(r.n) for r in self.rows)

@@ -185,6 +185,21 @@ def test_verify_writes_out_file(tmp_path, capsys):
     assert "PASS" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize(
+    "nmax, status, code", [(3, "NO EVIDENCE (n <= 3 < k = 4)", 1), (4, "PASS", 0)]
+)
+def test_verify_below_k_reports_no_evidence(capsys, nmax, status, code):
+    # thm-3.15 is a k = 4 entry, and every count below n = 4 is n!.
+    assert main(["verify", "thm-3.15", "--nmax", str(nmax)]) == code
+    out = capsys.readouterr().out
+    assert f"thm-3.15 [linear-recurrence] k=4: {status}\n" in out
+    assert f"{1 - code}/1 entries verified" in out
+    assert main(["verify", "thm-3.15", "--nmax", str(nmax), "--json"]) == code
+    report = json.loads(capsys.readouterr().out)["reports"][0]
+    assert report["passed"] is (code == 0)
+    assert [row["n"] for row in report["rows"]] == list(range(nmax + 1))
+
+
 def test_verify_unknown_id_is_usage_error(capsys):
     assert main(["verify", "--theorem", "thm-9.1"]) == 2
     assert "unknown theorem id" in capsys.readouterr().err

@@ -78,6 +78,24 @@ def test_antichain_counts_vanish_at_its_length():
     assert count_avoiders(antichain(3), 6) == 0
 
 
+@pytest.mark.parametrize(
+    "pop_text, closed_form",
+    [
+        ("k=1;", lambda n: int(n == 0)),
+        ("k=2;", lambda n: int(n <= 1)),
+        ("k=2; 1>2", lambda n: 1),
+        ("k=3; 1>2, 2>3", lambda n: math.comb(2 * n, n) // (n + 1)),
+    ],
+)
+def test_matcher_special_paths_match_oracle_and_closed_form(pop_text, closed_form):
+    # k = 1 has no label to pin and k = 2 no loop; below m = k - 1 entries
+    # (the root, and [1] for k = 3) no occurrence fits and every rank stays.
+    pop = parse_pop(pop_text)
+    counts = count_avoiders_prefix(pop, 8).counts
+    assert list(counts) == [closed_form(n) for n in range(9)]
+    assert list(counts[:8]) == [naive_count_avoiders(pop, n) for n in range(8)]
+
+
 # ----------------------------------------------------------------------
 # Ceiling and parallel contract
 

@@ -6,6 +6,7 @@ import pytest
 
 from poplab.perms import (
     Permutation,
+    _compiled_keep,
     contains_pop_ending_at_last,
     has_cycle_interval_property,
     standardize,
@@ -209,8 +210,20 @@ def chain_pop(k: int):
     return parse_pop(f"k={k}; " + ", ".join(f"{i}>{i + 1}" for i in range(1, k)))
 
 
+def test_matcher_short_parent_and_single_label():
+    keep = _compiled_keep(chain_pop(4))
+    # Fewer than k - 1 entries hold no occurrence: every live rank stays.
+    assert keep([], 0b10) == 0b10
+    assert keep([2, 1], 0b1010) == 0b1010
+    # 3, 2, 1 as labels 1..3 forbids exactly rank 1 for label 4.
+    assert keep([3, 2, 1], 0b11110) == 0b11100
+    # One label: every new entry is an occurrence, with no label to pin.
+    assert _compiled_keep(parse_pop("k=1;"))([2, 1], 0b1110) == 0
+    assert contains_pop_ending_at_last(Permutation((1,)), parse_pop("k=1;"))
+
+
 def test_matcher_label_limit():
-    # One nested loop per label but the last: CPython compiles 21 labels, not 22.
+    # The matcher nests one loop per label below k - 1 and refuses k > 21.
     assert contains_pop_ending_at_last(Permutation(range(21, 0, -1)), chain_pop(21))
     assert not contains_pop_ending_at_last(Permutation((3, 1, 2)), chain_pop(22))
     with pytest.raises(ValueError, match="at most 21 labels"):

@@ -88,18 +88,53 @@ def test_compiled_matcher_matches_occurrence_oracle(pop, perm):
     assert contains_pop_ending_at_last(perm, pop) == ends_last
 
 
+def _child(parent: Permutation, r: int) -> Permutation:
+    return Permutation([v + (v >= r) for v in parent] + [r])
+
+
 @_settings(400)
 @given(pops(), permutations_up_to(7), st.data())
 def test_kept_rank_matcher_matches_occurrence_oracle(pop, parent, data):
     """``keep(parent, live)`` on any set of live ranks, holes included: a
-    rank survives exactly when its child has no occurrence ending last."""
+    rank survives exactly when its child has no occurrence that ends last
+    with label k-1 at position m, the parent's last entry."""
     m = parent.n
     ranks = data.draw(st.sets(st.integers(1, m + 1)))
     expected = set()
     for r in ranks:
-        child = Permutation([v + (v >= r) for v in parent] + [r])
-        if all(occ[-1] != m + 1 for occ in child.pop_occurrences(pop)):
+        if all(
+            occ[-1] != m + 1 or (pop.k > 1 and occ[-2] != m)
+            for occ in _child(parent, r).pop_occurrences(pop)
+        ):
             expected.add(r)
     live = sum(1 << r for r in ranks)
     kept = _compiled_keep(pop)(list(parent.values), live)
     assert kept == sum(1 << r for r in expected)
+
+
+@_settings(200)
+@given(pops(), permutations_up_to(7))
+def test_prefix_chain_masks_hold_the_ranks_older_occurrences_leave(pop, perm):
+    """Following ``perm``'s prefixes from the root with ``keep`` and the
+    engine's child step leaves, at ``perm``, the rank r live exactly when
+    no occurrence ends at the child's last entry with its other labels
+    inside the first m-1 entries: the invariant that lets ``keep`` pin
+    label k-1 to the parent's last entry."""
+    keep = _compiled_keep(pop)
+    vals = perm.values
+    parent, live = [], 1 << 1
+    for j, v in enumerate(vals):
+        kept = keep(parent, live)
+        r = 1 + sum(u < v for u in vals[:j])
+        live = (kept & ((2 << r) - 1)) | ((kept >> r) << (r + 1))
+        parent = [u + (u >= r) for u in parent] + [r]
+    m = perm.n
+    expected = {
+        r
+        for r in range(1, m + 2)
+        if all(
+            occ[-1] != m + 1 or max(occ[:-1], default=0) >= m
+            for occ in _child(perm, r).pop_occurrences(pop)
+        )
+    }
+    assert live == sum(1 << r for r in expected)

@@ -17,11 +17,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import partial
 from pathlib import Path
 
 from .counting import (
     CeilingExceeded,
     DEFAULT_CEILING,
+    _pool_map,
     count_avoiders,
     count_avoiders_prefix,
 )
@@ -138,10 +140,6 @@ def cmd_conjectures(args: argparse.Namespace) -> int:
 MAX_SCAN_LENGTH = 6
 
 
-def _orbit_counts(pop_text: str, n_max: int) -> list[int]:
-    return list(count_avoiders_prefix(parse_pop(pop_text), n_max).counts)
-
-
 def scan_pops(
     length: int, n_max: int, *, db: OeisDb | None = None, jobs: int = 1
 ) -> dict:
@@ -162,40 +160,33 @@ def scan_pops(
     orbits: dict[int, list] = {}
     for pop in pops:
         orbits.setdefault(canonical_class(pop).code, []).append(pop)
-    reps: list[tuple[int, str, list[str]]] = []
-    for code in sorted(orbits):
-        members = orbits[code]
-        rep = min(members, key=lambda p: p.encode())
-        reps.append((code, rep.to_text(), sorted(p.to_text() for p in members)))
-        orbit = symmetry_orbit(rep)
-        if {p.to_text() for p in orbit} != {p.to_text() for p in members}:
+    codes = sorted(orbits)
+    reps = [min(orbits[code], key=lambda p: p.encode()) for code in codes]
+    for code, rep in zip(codes, reps):
+        members = {p.to_text() for p in orbits[code]}
+        if {p.to_text() for p in symmetry_orbit(rep)} != members:
             raise AssertionError(f"orbit mismatch for {rep.to_text()}")
 
-    if jobs <= 1:
-        all_counts = [_orbit_counts(text, n_max) for _, text, _ in reps]
-    else:
-        from concurrent.futures import ProcessPoolExecutor
+    # The orbits share one pool; passing jobs on would start a pool per orbit.
+    count = partial(count_avoiders_prefix, n_max=n_max)
+    all_counts = [seq.counts for seq in _pool_map(count, reps, jobs)]
 
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            all_counts = list(
-                pool.map(_orbit_counts, [text for _, text, _ in reps], [n_max] * len(reps))
-            )
-
-    distinct = sorted({tuple(c) for c in all_counts})
+    distinct = sorted(set(all_counts))
     class_index = {counts: i + 1 for i, counts in enumerate(distinct)}
     all_matches = [[] for _ in all_counts]
     if db is not None and n_max >= DEFAULT_MIN_OVERLAP:
         all_matches = match_sequences(db, [counts[1:] for counts in all_counts])
     entries = []
-    for (code, text, members), counts, matches in zip(reps, all_counts, all_matches):
+    for code, rep, counts, matches in zip(codes, reps, all_counts, all_matches):
+        members = sorted(p.to_text() for p in orbits[code])
         entries.append(
             {
-                "pop": text,
+                "pop": rep.to_text(),
                 "class_key": code,
                 "orbit_size": len(members),
                 "members": members,
-                "counts": counts,
-                "wilf_class": class_index[tuple(counts)],
+                "counts": list(counts),
+                "wilf_class": class_index[counts],
                 "oeis_matches": [
                     {
                         "a_number": m.a_number,

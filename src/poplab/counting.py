@@ -17,9 +17,9 @@ for all live ranks in one pass.  No child is built to be tested, and
 the avoiders of length n_max are counted, not built.
 
 A parallel count maps the same subtree walk over the nodes at depth
-``SPLIT_DEPTH`` in a process pool, where the serial count uses the
-builtin ``map``; the parts are summed in a fixed order, so the result
-is identical for every job count.  All arithmetic is exact.
+``SPLIT_DEPTH`` through ``_pool_map``, the only place poplab starts
+processes; the parts are summed in a fixed order, so the result is
+identical for every job count.  All arithmetic is exact.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ import math
 from dataclasses import dataclass
 from functools import partial
 from itertools import permutations
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .perms import Permutation, _compiled_keep
 from .posets import Pop
@@ -99,6 +99,17 @@ def _subtree_counts(pop: Pop, n_max: int, root: _Node) -> list[int]:
     return counts
 
 
+def _pool_map(fn: Callable, items: list, jobs: int) -> list:
+    """``list(map(fn, items))``, over min(jobs, len(items)) processes if that is > 1."""
+    workers = min(jobs, len(items))
+    if workers <= 1:
+        return list(map(fn, items))
+    from concurrent.futures import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, items))
+
+
 def count_avoiders_prefix(
     pop: Pop, n_max: int, *, ceiling: int = DEFAULT_CEILING, jobs: int = 1
 ) -> CountSequence:
@@ -121,14 +132,7 @@ def count_avoiders_prefix(
         counts[m] = len(level)
         level = [c for p, live in level for c in _children(p, keep(p, live))]
     counts[depth] = len(level)
-    walk = partial(_subtree_counts, pop, n_max)
-    if jobs <= 1:
-        parts = list(map(walk, level))
-    else:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            parts = list(pool.map(walk, level))
+    parts = _pool_map(partial(_subtree_counts, pop, n_max), level, jobs)
     return CountSequence(pop, tuple(sum(col) for col in zip(counts, *parts)))
 
 

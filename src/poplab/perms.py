@@ -299,9 +299,10 @@ def _compiled_keep(pop: "Pop") -> Callable[[Sequence[int], int], int]:
 
 def contains_pop_ending_at_last(perm: Permutation, pop: "Pop") -> bool:
     """True when some occurrence of ``pop`` ends at the last entry of
-    ``perm``: the question a left-to-right enumerator asks after each new
-    entry, answered by the counting engine's own compiled matcher along
-    the generating-tree path of ``perm``'s prefixes."""
+    ``perm``.  Each call replays the engine's matcher along the whole path
+    of ``perm``'s prefixes, one ``keep`` call per entry, so asking after
+    every new entry of a growing permutation costs O(n^2) calls.  The
+    engine does not call this; it carries kept ranks down its tree."""
     vals = perm.values
     if len(vals) < pop.k:
         return False

@@ -781,6 +781,13 @@ class VerifyRow:
     match: bool
 
 
+def _no_evidence(rows: Sequence[VerifyRow], k: int) -> str | None:
+    """The status when no row reaches n = k, else None: every count
+    below n = k is n!, so only rows with n >= k are evidence."""
+    n = rows[-1].n
+    return f"NO EVIDENCE (n <= {n} < k = {k})" if n < k else None
+
+
 def _verify_rows(
     reference: Sequence[int], brute: Sequence[int]
 ) -> tuple[VerifyRow, ...]:
@@ -805,8 +812,7 @@ class Report:
 
     @property
     def passed(self) -> bool:
-        # Every count below n = k is n!, so only rows with n >= k are evidence.
-        return self.rows[-1].n >= self.k and self._consistent
+        return _no_evidence(self.rows, self.k) is None and self._consistent
 
     @property
     def _consistent(self) -> bool:
@@ -838,9 +844,7 @@ class Report:
         }
 
     def to_text(self) -> str:
-        status = "PASS" if self.passed else "FAIL"
-        if self._consistent and not self.passed:
-            status = f"NO EVIDENCE (n <= {self.rows[-1].n} < k = {self.k})"
+        status = "FAIL" if not self._consistent else _no_evidence(self.rows, self.k) or "PASS"
         lines = [f"{self.theorem_id} [{self.method}] k={self.k}: {status}"]
         lines.append(
             "  n:       " + " ".join(str(r.n) for r in self.rows)
@@ -971,8 +975,7 @@ class ConjectureReport:
 
     @property
     def supported(self) -> bool:
-        # Every count below n = k is n!, so only rows with n >= k are evidence.
-        return self.rows[-1].n >= self.k and all(r.match for r in self.rows)
+        return _no_evidence(self.rows, self.k) is None and all(r.match for r in self.rows)
 
     @property
     def status(self) -> str:
@@ -981,7 +984,7 @@ class ConjectureReport:
         worst = next((r.n for r in self.rows if not r.match), None)
         if worst is not None:
             return f"MISMATCH at n = {worst}"
-        return f"NO EVIDENCE (n <= {self.rows[-1].n} < k = {self.k})"
+        return _no_evidence(self.rows, self.k)
 
     def to_json(self) -> dict:
         return {

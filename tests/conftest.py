@@ -7,6 +7,7 @@ a count computed once for one POP and one length is never recomputed.
 
 from __future__ import annotations
 
+import concurrent.futures
 from typing import Callable
 
 import pytest
@@ -35,3 +36,28 @@ def brute() -> BruteCounter:
         return [cache[text, n] for n in range(1, n_max + 1)]
 
     return counts
+
+
+@pytest.fixture
+def fake_pool(monkeypatch) -> list[int]:
+    """Replace ``concurrent.futures.ProcessPoolExecutor`` with a stand-in
+    that maps in this process, and return the ``max_workers`` of every
+    pool built, so a test can count pools and workers without starting
+    any process."""
+    built: list[int] = []
+
+    class SerialPool:
+        def __init__(self, max_workers: int):
+            built.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    return built

@@ -328,6 +328,15 @@ def test_scan_parallel_equals_serial():
     assert scan_pops(3, 6, jobs=2) == scan_pops(3, 6)
 
 
+def test_scan_maps_its_orbits_through_one_pool(fake_pool):
+    serial = scan_pops(3, 6)
+    assert scan_pops(3, 6, jobs=2) == serial
+    assert fake_pool == [2]
+    # At most one worker per orbit, however many jobs are asked for.
+    assert scan_pops(3, 6, jobs=1000) == serial
+    assert fake_pool == [2, serial["orbit_count"]]
+
+
 def test_scan_uses_database_argument(tmp_path, capsys):
     db_file = tmp_path / "stripped"
     db_file.write_text("A000045 ,1,1,2,3,5,8,13,21,34,55,\n")

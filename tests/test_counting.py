@@ -128,6 +128,20 @@ def test_parallel_count_equals_serial():
             assert count_avoiders_prefix(pop, n_max, jobs=2) == serial
 
 
+def test_pool_starts_at_most_one_worker_per_subtree(fake_pool):
+    pop = parse_pop("k=4; 3>1, 1>2, 3>4")
+    serial = count_avoiders_prefix(pop, 7)
+    assert count_avoiders_prefix(pop, 7, jobs=100_000) == serial
+    assert count_avoiders_prefix(pop, 7, jobs=3) == serial
+    subtrees = serial.counts[SPLIT_DEPTH]
+    assert fake_pool == [subtrees, 3]
+    # A k = 1 POP leaves no subtree and n_max = 1 leaves one: no pool for either.
+    empty = parse_pop("k=1;")
+    assert count_avoiders_prefix(empty, 6, jobs=4).counts == (1, 0, 0, 0, 0, 0, 0)
+    assert count_avoiders_prefix(empty, 1, jobs=4).counts == (1, 0)
+    assert fake_pool == [subtrees, 3]
+
+
 # ----------------------------------------------------------------------
 # Prefix sequences
 

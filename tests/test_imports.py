@@ -1,8 +1,8 @@
 """What each entry point imports, checked in a fresh interpreter.
 
 ``import poplab`` loads no submodule, and a command loads only what it
-runs: ``count`` neither the catalogue (``theorems``, ``series``) nor the
-process pool, ``verify`` not the pool.
+runs: ``count`` and ``scan`` with one job neither the catalogue
+(``theorems``, ``series``) nor the process pool, ``verify`` not the pool.
 """
 
 from __future__ import annotations
@@ -12,6 +12,8 @@ import subprocess
 import sys
 import textwrap
 from pathlib import Path
+
+import pytest
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -40,13 +42,21 @@ def test_import_poplab_loads_no_submodule():
     )
 
 
-def test_count_loads_neither_catalogue_nor_pool():
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["count", "k=3; 1>3", "--n", "6", "--jobs", "1"],
+        ["scan", "--length", "3", "--nmax", "5", "--jobs", "1"],
+    ],
+    ids=["count", "scan"],
+)
+def test_command_loads_neither_catalogue_nor_pool(argv):
     run_fresh(
-        """
+        f"""
         import contextlib, io, sys
         import poplab.cli
         with contextlib.redirect_stdout(io.StringIO()):
-            code = poplab.cli.main(["count", "k=3; 1>3", "--n", "6", "--jobs", "1"])
+            code = poplab.cli.main({argv!r})
         assert code == 0
         unwanted = ["poplab.theorems", "poplab.series", "fractions", "concurrent.futures.process"]
         loaded = [m for m in unwanted if m in sys.modules]

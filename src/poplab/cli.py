@@ -156,6 +156,8 @@ def scan_pops(
             f"scan supports POP lengths up to {MAX_SCAN_LENGTH}, got {length}; "
             f"length 7 alone has 6129859 labelled posets"
         )
+    if n_max > DEFAULT_CEILING:
+        raise CeilingExceeded(n_max, DEFAULT_CEILING)
     pops = enumerate_pops(length)
     orbits: dict[int, list] = {}
     for pop in pops:

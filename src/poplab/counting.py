@@ -18,13 +18,16 @@ the avoiders of length n_max are counted, not built.
 
 A parallel count maps the same subtree walk over the nodes at depth
 ``SPLIT_DEPTH`` through ``_pool_map``, the only place poplab starts
-processes; the parts are summed in a fixed order, so the result is
-identical for every job count.  All arithmetic is exact.
+processes: it forks its workers with ``os.fork`` and hands them item
+indices through a pipe, so no pool library is imported.  The parts are
+summed in a fixed order, so the result is identical for every job
+count.  All arithmetic is exact.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from functools import partial
 from itertools import permutations
@@ -100,14 +103,97 @@ def _subtree_counts(pop: Pop, n_max: int, root: _Node) -> list[int]:
 
 
 def _pool_map(fn: Callable, items: list, jobs: int) -> list:
-    """``list(map(fn, items))``, over min(jobs, len(items)) processes if that is > 1."""
+    """``list(map(fn, items))``, over min(jobs, len(items)) forked processes
+    if that is > 1.
+
+    After forking, the parent writes the item indices, 4 bytes each, to
+    one pipe, and each worker reads the next index whenever it is free.
+    At EOF a worker sends back its ``(index, result)`` pairs, pickled, on
+    a pipe of its own.  The exception of the first failing item is raised
+    here, as ``map`` would raise it, and every child is reaped before
+    this returns or raises.
+    """
     workers = min(jobs, len(items))
     if workers <= 1:
         return list(map(fn, items))
-    from concurrent.futures import ProcessPoolExecutor
+    if not hasattr(os, "fork"):
+        raise ValueError(f"jobs={jobs} needs os.fork, which this platform lacks; use 1 job")
+    import pickle
+    import signal
 
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
+    # The parent's open pipe ends: the task pipe's two, then each worker's report.
+    fds = list(os.pipe())
+    pids: list[int] = []
+    reported = False
+    try:
+        for _ in range(workers):
+            fds += os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                status = 1
+                try:
+                    for fd in fds[1:-1]:
+                        os.close(fd)
+                    _serve(fn, items, fds[0], fds[-1])
+                    status = 0
+                finally:
+                    os._exit(status)
+            pids.append(pid)
+            os.close(fds.pop())
+        os.close(fds.pop(0))
+        # Written only now: a full pipe would block until workers read it.
+        indices = memoryview(b"".join(i.to_bytes(4, "little") for i in range(len(items))))
+        try:
+            while indices:
+                indices = indices[os.write(fds[0], indices):]
+        except BrokenPipeError:
+            pass  # every worker has stopped on a failure, which its report holds
+        os.close(fds.pop(0))
+        results = [None] * len(items)
+        failures = []
+        for fd in fds:
+            with open(fd, "rb", closefd=False) as report:
+                data = report.read()
+            if not data:
+                raise RuntimeError("a pool worker exited without reporting")
+            pairs, failure = pickle.loads(data)
+            for i, value in pairs:
+                results[i] = value
+            if failure is not None:
+                failures.append(failure)
+        reported = True
+        if failures:
+            raise min(failures, key=lambda failure: failure[0])[1]
+        return results
+    finally:
+        for fd in fds:
+            os.close(fd)
+        for pid in pids:
+            if not reported:
+                os.kill(pid, signal.SIGTERM)
+            os.waitpid(pid, 0)
+
+
+def _serve(fn: Callable, items: list, tasks: int, report: int) -> None:
+    """A pool worker: apply ``fn`` to each item whose index it reads from
+    ``tasks`` until EOF or the first exception, then write the results
+    and the failure, pickled, to ``report``."""
+    import pickle
+
+    done, failure = [], None
+    # Every write and read is whole 4-byte indices, so no read splits one.
+    while chunk := os.read(tasks, 4):
+        i = int.from_bytes(chunk, "little")
+        try:
+            done.append((i, fn(items[i])))
+        except Exception as exc:
+            failure = (i, exc)
+            break
+    # A stopped worker must not hold the task pipe open: once all have
+    # stopped, the parent's write fails instead of blocking.
+    os.close(tasks)
+    with open(report, "wb") as out:
+        out.write(pickle.dumps((done, failure)))
 
 
 def count_avoiders_prefix(

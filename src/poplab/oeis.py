@@ -116,7 +116,7 @@ def load_stripped(path: str | Path) -> OeisDb:
         if not body:
             raise OeisError(f"{path}:{lineno}: {a_number} has no terms")
         try:
-            terms = tuple(int(part) for part in body.split(","))
+            terms = tuple(map(int, body.split(",")))
         except ValueError:
             raise OeisError(
                 f"{path}:{lineno}: non-integer term in {a_number}"

@@ -7,7 +7,9 @@ a count computed once for one POP and one length is never recomputed.
 
 from __future__ import annotations
 
-import concurrent.futures
+import os
+import signal
+import sys
 from typing import Callable
 
 import pytest
@@ -39,25 +41,39 @@ def brute() -> BruteCounter:
 
 
 @pytest.fixture
-def fake_pool(monkeypatch) -> list[int]:
-    """Replace ``concurrent.futures.ProcessPoolExecutor`` with a stand-in
-    that maps in this process, and return the ``max_workers`` of every
-    pool built, so a test can count pools and workers without starting
-    any process."""
-    built: list[int] = []
+def forks(monkeypatch) -> list[int]:
+    """Record every ``os.fork`` and delegate it to the real call; return
+    the number of processes each pool forked, one entry per pool, so a
+    test can count pools and workers.  Forks from one ``_pool_map``
+    frame belong to one pool."""
+    real_fork = os.fork
+    # Holding every frame keeps a finished pool's frame from being reused.
+    pools: list[object] = []
+    counts: list[int] = []
 
-    class SerialPool:
-        def __init__(self, max_workers: int):
-            built.append(max_workers)
+    def fork() -> int:
+        caller = sys._getframe(1)
+        if not pools or pools[-1] is not caller:
+            pools.append(caller)
+            counts.append(0)
+        counts[-1] += 1
+        return real_fork()
 
-        def __enter__(self):
-            return self
+    monkeypatch.setattr(os, "fork", fork)
+    return counts
 
-        def __exit__(self, *exc):
-            return False
 
-        def map(self, fn, *iterables):
-            return map(fn, *iterables)
+@pytest.fixture
+def deadline():
+    """Fail the test with ``TimeoutError`` after 60 s instead of letting a
+    pool deadlock hang it; the error reaches the pool in the parent, which
+    then kills and reaps its workers (a forked child has no alarm)."""
 
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
-    return built
+    def expire(signum, frame):
+        raise TimeoutError("test ran past its 60 s deadline")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(60)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)

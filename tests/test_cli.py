@@ -328,13 +328,13 @@ def test_scan_parallel_equals_serial():
     assert scan_pops(3, 6, jobs=2) == scan_pops(3, 6)
 
 
-def test_scan_maps_its_orbits_through_one_pool(fake_pool):
+def test_scan_maps_its_orbits_through_one_pool(forks):
     serial = scan_pops(3, 6)
     assert scan_pops(3, 6, jobs=2) == serial
-    assert fake_pool == [2]
+    assert forks == [2]
     # At most one worker per orbit, however many jobs are asked for.
     assert scan_pops(3, 6, jobs=1000) == serial
-    assert fake_pool == [2, serial["orbit_count"]]
+    assert forks == [2, serial["orbit_count"]]
 
 
 def test_scan_uses_database_argument(tmp_path, capsys):
@@ -384,12 +384,22 @@ def test_scan_length_seven_is_refused_before_enumerating(monkeypatch, capsys):
     assert "error: scan supports POP lengths up to 6, got 7" in captured.err
 
 
-def test_scan_past_ceiling_is_usage_error(capsys):
-    assert main(["scan", "--length", "3", "--nmax", "11"]) == 2
-    assert "ceiling" in capsys.readouterr().err
-    # The refusal also crosses back from a pool worker.
-    assert main(["scan", "--length", "3", "--nmax", "11", "--jobs", "2"]) == 2
-    assert "ceiling" in capsys.readouterr().err
+def test_jobs_without_fork_is_usage_error(monkeypatch, capsys):
+    monkeypatch.delattr(os, "fork")
+    assert main(["count", "k=3; 1>3", "--n", "6", "--jobs", "2"]) == 2
+    assert "os.fork" in capsys.readouterr().err
+    assert main(["count", "k=3; 1>3", "--n", "6", "--jobs", "1"]) == 0
+
+
+def test_scan_past_ceiling_is_usage_error(monkeypatch, capsys):
+    # Refused before any POP is enumerated or any worker is started.
+    def enumerate_pops(length):
+        raise AssertionError("enumerated POPs past the ceiling")
+
+    monkeypatch.setattr(cli, "enumerate_pops", enumerate_pops)
+    for jobs in ("1", "2"):
+        assert main(["scan", "--length", "5", "--nmax", "11", "--jobs", jobs]) == 2
+        assert "ceiling" in capsys.readouterr().err
 
 
 def test_scan_length_four_recovers_every_catalogued_sequence():

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
 import random
 
 import pytest
@@ -10,6 +11,7 @@ from poplab.counting import (
     SPLIT_DEPTH,
     CeilingExceeded,
     CountSequence,
+    _pool_map,
     count_avoiders,
     count_avoiders_pattern_set,
     count_avoiders_prefix,
@@ -128,18 +130,38 @@ def test_parallel_count_equals_serial():
             assert count_avoiders_prefix(pop, n_max, jobs=2) == serial
 
 
-def test_pool_starts_at_most_one_worker_per_subtree(fake_pool):
+def test_pool_starts_at_most_one_worker_per_subtree(forks):
     pop = parse_pop("k=4; 3>1, 1>2, 3>4")
     serial = count_avoiders_prefix(pop, 7)
     assert count_avoiders_prefix(pop, 7, jobs=100_000) == serial
     assert count_avoiders_prefix(pop, 7, jobs=3) == serial
     subtrees = serial.counts[SPLIT_DEPTH]
-    assert fake_pool == [subtrees, 3]
+    assert forks == [subtrees, 3]
     # A k = 1 POP leaves no subtree and n_max = 1 leaves one: no pool for either.
     empty = parse_pop("k=1;")
     assert count_avoiders_prefix(empty, 6, jobs=4).counts == (1, 0, 0, 0, 0, 0, 0)
     assert count_avoiders_prefix(empty, 1, jobs=4).counts == (1, 0)
-    assert fake_pool == [subtrees, 3]
+    assert forks == [subtrees, 3]
+
+
+@pytest.mark.parametrize("error", [ValueError, CeilingExceeded])
+def test_pool_reraises_the_first_worker_error_and_reaps_every_child(error, deadline):
+    def fn(x: int) -> int:
+        if x in (3, 6):
+            raise error(x, 10)
+        return x
+
+    with pytest.raises(error) as info:
+        _pool_map(fn, list(range(8)), 2)
+    assert str(info.value) == str(error(3, 10))
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_pool_maps_more_indices_than_a_pipe_holds(deadline):
+    # 100000 4-byte indices overfill a 64 KiB pipe unless written after forking.
+    items = list(range(-50_000, 50_000))
+    assert _pool_map(abs, items, 2) == list(map(abs, items))
 
 
 # ----------------------------------------------------------------------

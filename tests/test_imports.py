@@ -1,8 +1,10 @@
 """What each entry point imports, checked in a fresh interpreter.
 
 ``import poplab`` loads no submodule, and a command loads only what it
-runs: ``count`` and ``scan`` with one job neither the catalogue
-(``theorems``, ``series``) nor the process pool, ``verify`` not the pool.
+runs: ``count`` and ``scan`` do not load the catalogue (``theorems``,
+``series``). No command loads ``concurrent.futures`` or
+``multiprocessing``, with any number of jobs: the pool forks its workers
+itself.
 """
 
 from __future__ import annotations
@@ -47,8 +49,9 @@ def test_import_poplab_loads_no_submodule():
     [
         ["count", "k=3; 1>3", "--n", "6", "--jobs", "1"],
         ["scan", "--length", "3", "--nmax", "5", "--jobs", "1"],
+        ["count", "k=4; 3>1, 1>2, 3>4", "--n", "9", "--jobs", "2"],
     ],
-    ids=["count", "scan"],
+    ids=["count", "scan", "count-jobs-2"],
 )
 def test_command_loads_neither_catalogue_nor_pool(argv):
     run_fresh(
@@ -58,7 +61,7 @@ def test_command_loads_neither_catalogue_nor_pool(argv):
         with contextlib.redirect_stdout(io.StringIO()):
             code = poplab.cli.main({argv!r})
         assert code == 0
-        unwanted = ["poplab.theorems", "poplab.series", "fractions", "concurrent.futures.process"]
+        unwanted = ["poplab.theorems", "poplab.series", "fractions", "concurrent.futures", "multiprocessing"]
         loaded = [m for m in unwanted if m in sys.modules]
         assert not loaded, loaded
         """
@@ -74,7 +77,8 @@ def test_verify_loads_no_pool():
             code = poplab.cli.main(["verify", "thm-2.2", "--nmax", "5"])
         assert code == 0
         assert "poplab.theorems" in sys.modules
-        assert "concurrent.futures.process" not in sys.modules
+        assert "concurrent.futures" not in sys.modules
+        assert "multiprocessing" not in sys.modules
         """
     )
 

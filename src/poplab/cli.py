@@ -23,6 +23,7 @@ from pathlib import Path
 from .counting import (
     CeilingExceeded,
     DEFAULT_CEILING,
+    _check_length,
     _pool_map,
     count_avoiders,
     count_avoiders_prefix,
@@ -156,8 +157,7 @@ def scan_pops(
             f"scan supports POP lengths up to {MAX_SCAN_LENGTH}, got {length}; "
             f"length 7 alone has 6129859 labelled posets"
         )
-    if n_max > DEFAULT_CEILING:
-        raise CeilingExceeded(n_max, DEFAULT_CEILING)
+    _check_length(n_max, DEFAULT_CEILING)
     pops = enumerate_pops(length)
     orbits: dict[int, list] = {}
     for pop in pops:

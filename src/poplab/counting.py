@@ -58,6 +58,14 @@ class CeilingExceeded(ValueError):
         return CeilingExceeded, (self.n, self.ceiling)
 
 
+def _check_length(n: int, ceiling: int) -> None:
+    """Refuse a negative length, and one past an exhaustive count's ceiling."""
+    if n < 0:
+        raise ValueError(f"length must be nonnegative, got {n}")
+    if n > ceiling:
+        raise CeilingExceeded(n, ceiling)
+
+
 @dataclass(frozen=True)
 class CountSequence:
     """Avoidance counts ``counts[n]`` for n = 0..n_max of one POP."""
@@ -204,10 +212,7 @@ def count_avoiders_prefix(
     With ``jobs > 1`` the subtrees below depth ``SPLIT_DEPTH`` are
     counted in a process pool; the counts do not depend on ``jobs``.
     """
-    if n_max < 0:
-        raise ValueError(f"length must be nonnegative, got {n_max}")
-    if n_max > ceiling:
-        raise CeilingExceeded(n_max, ceiling)
+    _check_length(n_max, ceiling)
     if pop.k > n_max:
         return CountSequence(pop, tuple(math.factorial(n) for n in range(n_max + 1)))
     keep = _compiled_keep(pop)
@@ -273,10 +278,7 @@ def count_avoiders_pattern_set(
     Feeding this the linear extensions of a POP must reproduce
     ``count_avoiders`` for that POP.
     """
-    if n < 0:
-        raise ValueError(f"length must be nonnegative, got {n}")
-    if n > ceiling:
-        raise CeilingExceeded(n, ceiling)
+    _check_length(n, ceiling)
     if n == 0:
         return 1
     pats = tuple(tuple(p) for p in patterns)
@@ -311,10 +313,7 @@ def count_cycle_interval_perms(
     """
     if k < 1:
         raise ValueError(f"k must be at least 1, got {k}")
-    if n < 0:
-        raise ValueError(f"length must be nonnegative, got {n}")
-    if n > ceiling:
-        raise CeilingExceeded(n, ceiling)
+    _check_length(n, ceiling)
     if n == 0:
         return 1
     w = k - 1
@@ -350,8 +349,7 @@ def count_cycle_interval_perms(
 def naive_count_avoiders(pop: Pop, n: int, *, ceiling: int = 7) -> int:
     """Filter all of S_n through the containment test.  Slow; used as an
     independent oracle for the pruned engine."""
-    if n > ceiling:
-        raise CeilingExceeded(n, ceiling)
+    _check_length(n, ceiling)
     if n == 0:
         return 1
     return sum(

@@ -19,9 +19,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Sequence
 
-from .counting import CYCLE_CEILING, CeilingExceeded, count_avoiders_prefix
+from .counting import CYCLE_CEILING, _check_length, count_avoiders_prefix
 from .counting import count_cycle_interval_perms
 from .posets import Pop, parse_pop
 from .series import (
@@ -126,8 +126,7 @@ def _family_gap_tail(n_max: int, k: int) -> list[int]:
 def _family_cycle_interval(n_max: int, k: int) -> list[int]:
     # The bijection side: permutations whose cycles fit in length-(k-1)
     # intervals of values.  Refuse an oversized n before filtering any S_n.
-    if n_max > CYCLE_CEILING:
-        raise CeilingExceeded(n_max, CYCLE_CEILING)
+    _check_length(n_max, CYCLE_CEILING)
     return [count_cycle_interval_perms(k, n) for n in range(n_max + 1)]
 
 
@@ -241,31 +240,38 @@ def _seq_chain_composition(n_max: int, k: int) -> list[int]:
 # ----------------------------------------------------------------------
 # Registry
 
+# Every family is catalogued, and verified by ``verify_all``, at these lengths.
+FAMILY_KS = (4, 5)
+
 
 @dataclass(frozen=True)
 class TheoremEntry:
     """One catalogued counting result.
 
-    ``pop_texts``, ``oeis_by_k`` and ``prefix_by_k`` are keyed by the
-    POP length; non-family entries have a single key.  ``prefix_by_k``
-    stores reference counts from n = 1.  ``builder`` computes
-    a(0)..a(n_max) from the entry's own formula, or is None when the
-    entry has no derived formula.
+    A single result holds its POP as ``fixed_pop``; a family holds a
+    ``pop_factory`` that builds its POP at any length k >= 3.  ``builder``
+    computes a(0)..a(n_max) from the entry's own formula, or is None when
+    the entry has no derived formula.  A-numbers and stored prefixes are
+    looked up in ``STORED_COUNTS`` by the POP's text.
     """
 
     id: str
     method: str
-    family: bool
-    k_default: int
-    pop_texts: Mapping[int, str]
-    oeis_by_k: Mapping[int, tuple[str, ...]]
-    prefix_by_k: Mapping[int, tuple[int, ...]]
     builder: _Builder | None
     notes: tuple[str, ...] = ()
+    fixed_pop: Pop | None = None
     pop_factory: Callable[[int], Pop] | None = None
 
+    @property
+    def family(self) -> bool:
+        return self.pop_factory is not None
+
+    @property
+    def k_default(self) -> int:
+        return self.registered_ks()[0]
+
     def registered_ks(self) -> tuple[int, ...]:
-        return tuple(sorted(self.pop_texts))
+        return FAMILY_KS if self.family else (self.fixed_pop.k,)
 
     def resolve_k(self, k: int | None) -> int:
         if k is None:
@@ -278,18 +284,13 @@ class TheoremEntry:
 
     def pop(self, k: int | None = None) -> Pop:
         k = self.resolve_k(k)
-        text = self.pop_texts.get(k)
-        if text is not None:
-            return parse_pop(text)
-        if self.pop_factory is None:
-            raise ValueError(f"{self.id} has no POP registered for k={k}")
-        return self.pop_factory(k)
+        return self.pop_factory(k) if self.family else self.fixed_pop
 
     def oeis(self, k: int | None = None) -> tuple[str, ...]:
-        return self.oeis_by_k.get(self.resolve_k(k), ())
+        return STORED_COUNTS.get(self.pop(k).to_text(), ((), ()))[0]
 
     def prefix(self, k: int | None = None) -> tuple[int, ...]:
-        return self.prefix_by_k.get(self.resolve_k(k), ())
+        return STORED_COUNTS.get(self.pop(k).to_text(), ((), ()))[1]
 
     @property
     def has_formula(self) -> bool:
@@ -305,51 +306,54 @@ class TheoremEntry:
         return self.builder(n_max, self.resolve_k(k))
 
 
-def _entry(
-    id: str,
-    method: str,
-    pop_text: str,
-    oeis: tuple[str, ...],
-    prefix: tuple[int, ...],
-    builder: _Builder | None,
-    notes: tuple[str, ...] = (),
-) -> TheoremEntry:
-    k = parse_pop(pop_text).k
-    return TheoremEntry(
-        id=id,
-        method=method,
-        family=False,
-        k_default=k,
-        pop_texts={k: pop_text},
-        oeis_by_k={k: oeis},
-        prefix_by_k={k: prefix},
-        builder=builder,
-        notes=notes,
-    )
-
-
-def _family(
-    id: str,
-    method: str,
-    pop_texts: Mapping[int, str],
-    oeis_by_k: Mapping[int, tuple[str, ...]],
-    prefix_by_k: Mapping[int, tuple[int, ...]],
-    builder: _Builder,
-    pop_factory: Callable[[int], Pop],
-    notes: tuple[str, ...] = (),
-) -> TheoremEntry:
-    return TheoremEntry(
-        id=id,
-        method=method,
-        family=True,
-        k_default=4,
-        pop_texts=pop_texts,
-        oeis_by_k=oeis_by_k,
-        prefix_by_k=prefix_by_k,
-        builder=builder,
-        notes=notes,
-        pop_factory=pop_factory,
-    )
+# The A-numbers and the reference counts from n = 1 of each catalogued
+# POP, keyed by its canonical text.  A family's instance at k = 4 or 5
+# and the length-4 or length-5 entry for the same POP share one record.
+STORED_COUNTS: dict[str, tuple[tuple[str, ...], tuple[int, ...]]] = {
+    "k=4; 1>4": (("A214663", "A232164"), (1, 2, 6, 12, 25, 57, 124, 268, 588)),
+    "k=4; 1>2, 4>3": (("A048495",), (1, 2, 6, 18, 50, 130, 322, 770, 1794)),
+    "k=4; 1>3, 4>2": (("A077835",), (1, 2, 6, 18, 52, 152, 444, 1296, 3784)),
+    "k=4; 1>2, 1>3, 1>4": (("A025192",), (1, 2, 6, 18, 54, 162, 486, 1458, 4374)),
+    "k=4; 1>2, 1>3": (("A057711", "A129952"), (1, 2, 6, 16, 40, 96, 224, 512, 1152)),
+    "k=4; 1>4, 3>2": (("A271897",), (1, 2, 6, 18, 50, 134, 358, 962, 2594)),
+    "k=4; 1>2, 1>4": (("A111281",), (1, 2, 6, 16, 40, 100, 252, 636, 1604)),
+    "k=4; 1>3, 1>4": (("A002605",), (1, 2, 6, 16, 44, 120, 328, 896, 2448)),
+    "k=4; 2>1, 2>4": (("A111282",), (1, 2, 6, 16, 42, 110, 288, 754, 1974)),
+    "k=4; 1>2, 1>3, 4>3": (("A111277",), (1, 2, 6, 19, 59, 180, 544, 1637, 4917)),
+    "k=4; 1>2, 1>3, 4>2": (
+        ("A052544", "A204200"),
+        (1, 2, 6, 19, 60, 189, 595, 1873, 5896),
+    ),
+    "k=4; 1>2, 4>1": (("A049124",), (1, 2, 6, 20, 71, 264, 1015, 4002, 16094)),
+    "k=4; 1>3, 1>4, 3>2": (("A111279",), (1, 2, 6, 21, 79, 309, 1237, 5026, 20626)),
+    "k=4; 1>3, 1>4, 4>2": (("A106228",), (1, 2, 6, 21, 80, 322, 1347, 5798, 25512)),
+    "k=4; 1>2, 3>1, 3>4": (("A033321",), (1, 2, 6, 21, 79, 311, 1265, 5275, 22431)),
+    "k=4; 1>2, 1>3, 2>4": (("A257561",), (1, 2, 6, 21, 80, 322, 1346, 5783, 25372)),
+    "k=4; 1>2, 1>3, 2>4, 3>4": (
+        ("A053617",),
+        (1, 2, 6, 22, 90, 396, 1837, 8864, 44074),
+    ),
+    "k=4; 1>2, 3>1, 4>1": (("A006318",), (1, 2, 6, 22, 90, 394, 1806, 8558, 41586)),
+    "k=4; 1>2": (("A103505",), (1, 2, 6, 12, 20, 30, 42, 56, 72)),
+    "k=4; 1>3": (("A045925",), (1, 2, 6, 12, 25, 48, 91, 168, 306)),
+    "k=4; 1>2, 3>1, 3>4, 4>2": (
+        ("A165546",),
+        (1, 2, 6, 22, 90, 395, 1823, 8741, 43193),
+    ),
+    "k=4; 1>2, 1>3, 4>2, 4>3": (("A006012",), (1, 2, 6, 20, 68, 232, 792, 2704, 9232)),
+    "k=4; 1>2, 3>1": (("A000984",), (1, 2, 6, 20, 70, 252, 924, 3432, 12870)),
+    "k=5; 1>5": (("A276838",), (1, 2, 6, 24, 60, 150, 399, 1145)),
+    "k=5; 1>2": (("A007531",), (1, 2, 6, 24, 60, 120, 210, 336)),
+    "k=5; 1>2, 1>3, 1>4, 1>5": (("A084509",), (1, 2, 6, 24, 96, 384, 1536, 6144)),
+    "k=5; 1>2, 1>3, 1>4, 5>2, 5>3, 5>4": (
+        ("A094433",),
+        (1, 2, 6, 24, 108, 504, 2376, 11232),
+    ),
+    "k=5; 1>2, 1>3, 4>2, 4>3": (("A094012",), (1, 2, 6, 24, 100, 408, 1624, 6336)),
+    "k=5; 1>2, 2>3, 3>4": (("A128088",), (1, 2, 6, 24, 115, 618, 3591, 22088)),
+    # Only the thm-2.5 family reaches this POP; it has no catalogue id.
+    "k=5; 1>3": ((), (1, 2, 6, 24, 60, 150, 336, 728)),
+}
 
 
 _FIB_NOTE = (
@@ -361,53 +365,35 @@ _FIB_NOTE = (
 )
 
 _ALL_ENTRIES: tuple[TheoremEntry, ...] = (
-    _family(
+    TheoremEntry(
         "thm-2.2",
         "closed-form",
-        {4: "k=4; 1>2, 1>3, 1>4", 5: "k=5; 1>2, 1>3, 1>4, 1>5"},
-        {4: ("A025192",), 5: ("A084509",)},
-        {
-            4: (1, 2, 6, 18, 54, 162, 486, 1458, 4374),
-            5: (1, 2, 6, 24, 96, 384, 1536, 6144),
-        },
-        _family_top_above_rest,
-        lambda k: Pop.from_relations(k, [(1, j) for j in range(2, k + 1)]),
-        (
+        pop_factory=lambda k: Pop.from_relations(k, [(1, j) for j in range(2, k + 1)]),
+        builder=_family_top_above_rest,
+        notes=(
             "One label above all others: a(n) = (k-1)! (k-1)^(n-k+1) for "
             "n >= k.  The count does not depend on which label is the top "
             "one; label 1 is used as the representative.",
         ),
     ),
-    _family(
+    TheoremEntry(
         "thm-2.3",
         "linear-recurrence",
-        {4: "k=4; 1>2, 1>3, 4>2, 4>3", 5: "k=5; 1>2, 1>3, 1>4, 5>2, 5>3, 5>4"},
-        {4: ("A006012",), 5: ("A094433",)},
-        {
-            4: (1, 2, 6, 20, 68, 232, 792, 2704, 9232),
-            5: (1, 2, 6, 24, 108, 504, 2376, 11232),
-        },
-        _family_extreme_pair,
-        lambda k: Pop.from_relations(
+        pop_factory=lambda k: Pop.from_relations(
             k, [(1, j) for j in range(2, k)] + [(k, j) for j in range(2, k)]
         ),
-        (
+        builder=_family_extreme_pair,
+        notes=(
             "Labels 1 and k above all middle labels: "
             "a(n) = 2(k-2) a(n-1) - (k-2)(k-3) a(n-2) for n >= k.",
         ),
     ),
-    _family(
+    TheoremEntry(
         "thm-2.4",
         "composition",
-        {4: "k=4; 1>2", 5: "k=5; 1>2"},
-        {4: ("A103505",), 5: ("A007531",)},
-        {
-            4: (1, 2, 6, 12, 20, 30, 42, 56, 72),
-            5: (1, 2, 6, 24, 60, 120, 210, 336),
-        },
-        _family_isolated_run,
-        lambda k: Pop.from_relations(k, [(1, 2)]),
-        (
+        pop_factory=lambda k: Pop.from_relations(k, [(1, 2)]),
+        builder=_family_isolated_run,
+        notes=(
             "Isolated labels reduce to a shorter POP: with s of them "
             "stacked at the extremes, a(n) = n!/(n-s)! b(n-s) where b "
             "counts the avoiders of the reduced POP.  This entry is the "
@@ -415,172 +401,132 @@ _ALL_ENTRIES: tuple[TheoremEntry, ...] = (
             "and a(n) = n!/(n-k+2)! for n >= k.",
         ),
     ),
-    _family(
+    TheoremEntry(
         "thm-2.5",
         "composition",
-        {4: "k=4; 1>3", 5: "k=5; 1>3"},
-        {4: ("A045925",), 5: ()},
-        {
-            4: (1, 2, 6, 12, 25, 48, 91, 168, 306),
-            5: (1, 2, 6, 24, 60, 150, 336, 728),
-        },
-        _family_gap_tail,
-        lambda k: Pop.from_relations(k, [(1, 3)]),
-        (_FIB_NOTE,),
+        pop_factory=lambda k: Pop.from_relations(k, [(1, 3)]),
+        builder=_family_gap_tail,
+        notes=(_FIB_NOTE,),
     ),
-    _family(
+    TheoremEntry(
         "thm-2.6",
         "bijection-oracle",
-        {4: "k=4; 1>4", 5: "k=5; 1>5"},
-        {4: ("A214663", "A232164"), 5: ("A276838",)},
-        {
-            4: (1, 2, 6, 12, 25, 57, 124, 268, 588),
-            5: (1, 2, 6, 24, 60, 150, 399, 1145),
-        },
-        _family_cycle_interval,
-        lambda k: Pop.from_relations(k, [(1, k)]),
-        (
+        pop_factory=lambda k: Pop.from_relations(k, [(1, k)]),
+        builder=_family_cycle_interval,
+        notes=(
             "Reference values are counted through a bijection: avoiders "
             "of 1>k with k-2 isolated labels correspond to permutations "
             "whose every cycle fits inside an interval of at most k-1 "
             "consecutive values.",
         ),
     ),
-    _entry(
+    TheoremEntry(
         "thm-3.1",
         "rational-gf",
-        "k=4; 1>4",
-        ("A214663", "A232164"),
-        (1, 2, 6, 12, 25, 57, 124, 268, 588),
-        _rational_gf([1], [1, -1, -1, -3, -1]),
-        (
+        fixed_pop=parse_pop("k=4; 1>4"),
+        builder=_rational_gf([1], [1, -1, -1, -3, -1]),
+        notes=(
             "The second catalogue id lists the same counts shifted two "
             "places with leading terms 0, 1.",
         ),
     ),
-    _entry(
+    TheoremEntry(
         "thm-3.2",
         "closed-form",
-        "k=4; 1>2, 4>3",
-        ("A048495",),
-        (1, 2, 6, 18, 50, 130, 322, 770, 1794),
-        _closed_form(1, lambda n: (n - 2) * 2 ** (n - 1) + 2),
+        fixed_pop=parse_pop("k=4; 1>2, 4>3"),
+        builder=_closed_form(1, lambda n: (n - 2) * 2 ** (n - 1) + 2),
     ),
-    _entry(
+    TheoremEntry(
         "thm-3.3",
         "rational-gf",
-        "k=4; 1>3, 4>2",
-        ("A077835",),
-        (1, 2, 6, 18, 52, 152, 444, 1296, 3784),
-        _rational_gf([1, -1, -2, -2], [1, -2, -2, -2]),
+        fixed_pop=parse_pop("k=4; 1>3, 4>2"),
+        builder=_rational_gf([1, -1, -2, -2], [1, -2, -2, -2]),
     ),
-    _entry(
+    TheoremEntry(
         "thm-3.4",
         "closed-form",
-        "k=4; 1>2, 1>3, 1>4",
-        ("A025192",),
-        (1, 2, 6, 18, 54, 162, 486, 1458, 4374),
-        _closed_form(2, lambda n: 2 * 3 ** (n - 2)),
+        fixed_pop=parse_pop("k=4; 1>2, 1>3, 1>4"),
+        builder=_closed_form(2, lambda n: 2 * 3 ** (n - 2)),
     ),
-    _entry(
+    TheoremEntry(
         "thm-3.5",
         "closed-form",
-        "k=4; 1>2, 1>3",
-        ("A057711", "A129952"),
-        (1, 2, 6, 16, 40, 96, 224, 512, 1152),
-        _closed_form(2, lambda n: n * 2 ** (n - 2)),
+        fixed_pop=parse_pop("k=4; 1>2, 1>3"),
+        builder=_closed_form(2, lambda n: n * 2 ** (n - 2)),
     ),
-    _entry(
+    TheoremEntry(
         "thm-3.6",
         "rational-gf",
-        "k=4; 1>4, 3>2",
-        ("A271897",),
-        (1, 2, 6, 18, 50, 134, 358, 962, 2594),
-        _rational_gf([1, -3, 3, -1], [1, -4, 5, -4]),
-        (
+        fixed_pop=parse_pop("k=4; 1>4, 3>2"),
+        builder=_rational_gf([1, -3, 3, -1], [1, -4, 5, -4]),
+        notes=(
             "A recurrence sometimes quoted for this sequence, "
             "a(n) = 4a(n-1) - 5a(n-2) + 4a(n-6), gives 114 at n = 6 instead "
             "of the correct 134; the generating function corresponds to "
             "a(n) = 4a(n-1) - 5a(n-2) + 4a(n-3).",
         ),
     ),
-    _entry(
+    TheoremEntry(
         "thm-3.7",
         "rational-gf",
-        "k=4; 1>2, 1>4",
-        ("A111281",),
-        (1, 2, 6, 16, 40, 100, 252, 636, 1604),
-        _rational_gf([1, -2, 1], [1, -3, 2, -2]),
+        fixed_pop=parse_pop("k=4; 1>2, 1>4"),
+        builder=_rational_gf([1, -2, 1], [1, -3, 2, -2]),
     ),
-    _entry(
+    TheoremEntry(
         "thm-3.8",
         "rational-gf",
-        "k=4; 1>3, 1>4",
-        ("A002605",),
-        (1, 2, 6, 16, 44, 120, 328, 896, 2448),
-        _rational_gf([1, -1, -2], [1, -2, -2]),
-        (
+        fixed_pop=parse_pop("k=4; 1>3, 1>4"),
+        builder=_rational_gf([1, -1, -2], [1, -2, -2]),
+        notes=(
             "The recurrence a(n) = 2a(n-1) + 2a(n-2) holds for n >= 3 but "
             "not at n = 2, where it would give 4 instead of 2.",
         ),
     ),
-    _entry(
+    TheoremEntry(
         "thm-3.9",
         "rational-gf",
-        "k=4; 2>1, 2>4",
-        ("A111282",),
-        (1, 2, 6, 16, 42, 110, 288, 754, 1974),
-        _rational_gf([1, -2, 0, 1], [1, -3, 1]),
-        (
+        fixed_pop=parse_pop("k=4; 2>1, 2>4"),
+        builder=_rational_gf([1, -2, 0, 1], [1, -3, 1]),
+        notes=(
             "The recurrence a(n) = 3a(n-1) - a(n-2) holds at n = 2 and for "
             "n >= 4 but fails at n = 3, where it gives 5 instead of 6.",
         ),
     ),
-    _entry(
+    TheoremEntry(
         "thm-3.10",
         "closed-form",
-        "k=4; 1>2, 1>3, 4>3",
-        ("A111277",),
-        (1, 2, 6, 19, 59, 180, 544, 1637, 4917),
-        _seq_powers_plus_linear,
-        ("The division in (3^n - 2n + 3)/4 is exact for every n >= 1.",),
+        fixed_pop=parse_pop("k=4; 1>2, 1>3, 4>3"),
+        builder=_seq_powers_plus_linear,
+        notes=("The division in (3^n - 2n + 3)/4 is exact for every n >= 1.",),
     ),
-    _entry(
+    TheoremEntry(
         "thm-3.11",
         "binomial-sum",
-        "k=4; 1>2, 1>3, 4>2",
-        ("A052544", "A204200"),
-        (1, 2, 6, 19, 60, 189, 595, 1873, 5896),
-        _seq_three_step_binomial,
-        (
+        fixed_pop=parse_pop("k=4; 1>2, 1>3, 4>2"),
+        builder=_seq_three_step_binomial,
+        notes=(
             "The recurrence a(n) = 4a(n-1) - 3a(n-2) + a(n-3) needs "
             "n >= 3; at n = 2 it would reference a(-1).",
         ),
     ),
-    _entry(
+    TheoremEntry(
         "thm-3.12",
         "binomial-sum",
-        "k=4; 1>2, 4>1",
-        ("A049124",),
-        (1, 2, 6, 20, 71, 264, 1015, 4002, 16094),
-        _seq_catalan_convolution,
+        fixed_pop=parse_pop("k=4; 1>2, 4>1"),
+        builder=_seq_catalan_convolution,
     ),
-    _entry(
+    TheoremEntry(
         "thm-3.13",
         "algebraic-gf",
-        "k=4; 1>3, 1>4, 3>2",
-        ("A111279",),
-        (1, 2, 6, 21, 79, 309, 1237, 5026, 20626),
-        _seq_sqrt_quotient,
+        fixed_pop=parse_pop("k=4; 1>3, 1>4, 3>2"),
+        builder=_seq_sqrt_quotient,
     ),
-    _entry(
+    TheoremEntry(
         "thm-3.14",
         "algebraic-gf",
-        "k=4; 1>3, 1>4, 4>2",
-        ("A106228",),
-        (1, 2, 6, 21, 80, 322, 1347, 5798, 25512),
-        _seq_nested_fraction_gf,
-        (
+        fixed_pop=parse_pop("k=4; 1>3, 1>4, 4>2"),
+        builder=_seq_nested_fraction_gf,
+        notes=(
             "The generating function satisfies A = 1 + xA/(1 - xA^2); "
             "residual_thm314 checks this on any truncation.  A binomial "
             "sum sometimes quoted for these counts, "
@@ -588,157 +534,127 @@ _ALL_ENTRIES: tuple[TheoremEntry, ...] = (
             "true sequence at n = 7 (1348 instead of 1347).",
         ),
     ),
-    _entry(
+    TheoremEntry(
         "thm-3.15",
         "linear-recurrence",
-        "k=4; 1>2, 3>1, 3>4",
-        ("A033321",),
-        (1, 2, 6, 21, 79, 311, 1265, 5275, 22431),
-        _seq_exact_division_recurrence,
-        (
+        fixed_pop=parse_pop("k=4; 1>2, 3>1, 3>4"),
+        builder=_seq_exact_division_recurrence,
+        notes=(
             "The division by 2(n+1) in the three-term recurrence is exact "
             "for every n >= 3 and asserted at run time.  Equivalent "
             "generating function: 2/(1 + x + sqrt((1-x)(1-5x))).",
         ),
     ),
-    _entry(
+    TheoremEntry(
         "thm-3.16",
         "algebraic-gf",
-        "k=4; 1>2, 1>3, 2>4",
-        ("A257561",),
-        (1, 2, 6, 21, 80, 322, 1346, 5783, 25372),
-        None,
-        (
+        fixed_pop=parse_pop("k=4; 1>2, 1>3, 2>4"),
+        builder=None,
+        notes=(
             "No closed form is implemented; the generating function "
             "satisfies the quartic polynomial identity checked by "
             "residual_thm316, and the catalogued prefix is the numeric "
             "reference.",
         ),
     ),
-    _entry(
+    TheoremEntry(
         "thm-3.17",
         "external-oracle-none",
-        "k=4; 1>2, 1>3, 2>4, 3>4",
-        ("A053617",),
-        (1, 2, 6, 22, 90, 396, 1837, 8864, 44074),
-        None,
-        ("No derived formula; the catalogued prefix is the reference.",),
+        fixed_pop=parse_pop("k=4; 1>2, 1>3, 2>4, 3>4"),
+        builder=None,
+        notes=("No derived formula; the catalogued prefix is the reference.",),
     ),
-    _entry(
+    TheoremEntry(
         "thm-3.18",
         "linear-recurrence",
-        "k=4; 1>2, 3>1, 4>1",
-        ("A006318",),
-        (1, 2, 6, 22, 90, 394, 1806, 8558, 41586),
-        _seq_schroder_shift,
-        (
+        fixed_pop=parse_pop("k=4; 1>2, 3>1, 4>1"),
+        builder=_seq_schroder_shift,
+        notes=(
             "a(n) is the (n-1)-st large Schroeder number for n >= 1, and "
             "a(0) = 1 since the empty permutation avoids everything; the "
             "generating function (3 - x - sqrt(1-6x+x^2))/2 likewise has "
             "constant term 1.",
         ),
     ),
-    _entry(
+    TheoremEntry(
         "thm-3.19",
         "closed-form",
-        "k=4; 1>2",
-        ("A103505",),
-        (1, 2, 6, 12, 20, 30, 42, 56, 72),
-        _closed_form(2, lambda n: n * (n - 1)),
+        fixed_pop=parse_pop("k=4; 1>2"),
+        builder=_closed_form(2, lambda n: n * (n - 1)),
     ),
-    _entry(
+    TheoremEntry(
         "thm-3.20",
         "composition",
-        "k=4; 1>3",
-        ("A045925",),
-        (1, 2, 6, 12, 25, 48, 91, 168, 306),
-        _seq_fib_times_n,
-        (_FIB_NOTE,),
+        fixed_pop=parse_pop("k=4; 1>3"),
+        builder=_seq_fib_times_n,
+        notes=(_FIB_NOTE,),
     ),
-    _entry(
+    TheoremEntry(
         "thm-3.21",
         "external-oracle-none",
-        "k=4; 1>2, 3>1, 3>4, 4>2",
-        ("A165546",),
-        (1, 2, 6, 22, 90, 395, 1823, 8741, 43193),
-        None,
-        ("No derived formula; the catalogued prefix is the reference.",),
+        fixed_pop=parse_pop("k=4; 1>2, 3>1, 3>4, 4>2"),
+        builder=None,
+        notes=("No derived formula; the catalogued prefix is the reference.",),
     ),
-    _entry(
+    TheoremEntry(
         "thm-3.22",
         "rational-gf",
-        "k=4; 1>2, 1>3, 4>2, 4>3",
-        ("A006012",),
-        (1, 2, 6, 20, 68, 232, 792, 2704, 9232),
-        _rational_gf([1, -3], [1, -4, 2]),
-        ("Equivalent recurrence: a(n) = 4a(n-1) - 2a(n-2) for n >= 2.",),
+        fixed_pop=parse_pop("k=4; 1>2, 1>3, 4>2, 4>3"),
+        builder=_rational_gf([1, -3], [1, -4, 2]),
+        notes=("Equivalent recurrence: a(n) = 4a(n-1) - 2a(n-2) for n >= 2.",),
     ),
-    _entry(
+    TheoremEntry(
         "thm-3.23",
         "closed-form",
-        "k=4; 1>2, 3>1",
-        ("A000984",),
-        (1, 2, 6, 20, 70, 252, 924, 3432, 12870),
-        _seq_central_binomial,
-        ("a(n) is the central binomial coefficient C(2n-2, n-1).",),
+        fixed_pop=parse_pop("k=4; 1>2, 3>1"),
+        builder=_seq_central_binomial,
+        notes=("a(n) is the central binomial coefficient C(2n-2, n-1).",),
     ),
-    _entry(
+    TheoremEntry(
         "thm-4.1",
         "rational-gf",
-        "k=5; 1>5",
-        ("A276838",),
-        (1, 2, 6, 24, 60, 150, 399, 1145),
-        _rational_gf([1, 0, -1], [1, -1, -2, -2, -12, -8, 2, 5, 1]),
-        (
+        fixed_pop=parse_pop("k=5; 1>5"),
+        builder=_rational_gf([1, 0, -1], [1, -1, -2, -2, -12, -8, 2, 5, 1]),
+        notes=(
             "Also countable through the cycle-interval bijection of "
             "thm-2.6 at k = 5.",
         ),
     ),
-    _entry(
+    TheoremEntry(
         "thm-4.2",
         "closed-form",
-        "k=5; 1>2",
-        ("A007531",),
-        (1, 2, 6, 24, 60, 120, 210, 336),
-        _closed_form(3, lambda n: n * (n - 1) * (n - 2)),
+        fixed_pop=parse_pop("k=5; 1>2"),
+        builder=_closed_form(3, lambda n: n * (n - 1) * (n - 2)),
     ),
-    _entry(
+    TheoremEntry(
         "thm-4.3",
         "closed-form",
-        "k=5; 1>2, 1>3, 1>4, 1>5",
-        ("A084509",),
-        (1, 2, 6, 24, 96, 384, 1536, 6144),
-        _closed_form(3, lambda n: 6 * 4 ** (n - 3)),
+        fixed_pop=parse_pop("k=5; 1>2, 1>3, 1>4, 1>5"),
+        builder=_closed_form(3, lambda n: 6 * 4 ** (n - 3)),
     ),
-    _entry(
+    TheoremEntry(
         "thm-4.4",
         "linear-recurrence",
-        "k=5; 1>2, 1>3, 1>4, 5>2, 5>3, 5>4",
-        ("A094433",),
-        (1, 2, 6, 24, 108, 504, 2376, 11232),
-        _seq_sixfold_difference,
+        fixed_pop=parse_pop("k=5; 1>2, 1>3, 1>4, 5>2, 5>3, 5>4"),
+        builder=_seq_sixfold_difference,
     ),
-    _entry(
+    TheoremEntry(
         "thm-4.5",
         "composition",
-        "k=5; 1>2, 1>3, 4>2, 4>3",
-        ("A094012",),
-        (1, 2, 6, 24, 100, 408, 1624, 6336),
-        _seq_derivative_composition,
-        (
+        fixed_pop=parse_pop("k=5; 1>2, 1>3, 4>2, 4>3"),
+        builder=_seq_derivative_composition,
+        notes=(
             "A(x) = x^2 B'(x) + x B(x) + 1, where B is the generating "
             "function of the k = 4 bowtie entry thm-3.22; equivalently "
             "a(n) = n b(n-1).",
         ),
     ),
-    _entry(
+    TheoremEntry(
         "thm-4.6",
         "binomial-sum",
-        "k=5; 1>2, 2>3, 3>4",
-        ("A128088",),
-        (1, 2, 6, 24, 115, 618, 3591, 22088),
-        _seq_chain_composition,
-        (
+        fixed_pop=parse_pop("k=5; 1>2, 2>3, 3>4"),
+        builder=_seq_chain_composition,
+        notes=(
             "Each summand uses the central binomial C(2i, i); the division "
             "by n(n+1) is exact and asserted at run time.",
         ),
@@ -796,6 +712,15 @@ def _verify_rows(
         VerifyRow(n, reference[n], brute[n], reference[n] == brute[n])
         for n in range(len(brute))
     )
+
+
+def _against_prefix(
+    pop: Pop, stored: Sequence[int], n_max: int
+) -> tuple[VerifyRow, ...]:
+    """Brute-force ``pop`` to n_max or to the end of its stored terms
+    (from n = 1), whichever comes first, and compare with those terms."""
+    n_eff = min(n_max, len(stored))
+    return _verify_rows([1, *stored[:n_eff]], count_avoiders_prefix(pop, n_eff).counts)
 
 
 @dataclass(frozen=True)
@@ -887,23 +812,21 @@ def verify_theorem(theorem_id: str, n_max: int = 8, *, k: int | None = None) -> 
     """
     entry = get_theorem(theorem_id)
     k_eff = entry.resolve_k(k)
-    stored = entry.prefix(k_eff)
-    n_eff = n_max if entry.has_formula else min(n_max, len(stored))
-    # Count first, so that the engine's ceiling refuses an oversized n
-    # before a reference builder (the cycle-interval filter) starts.
-    brute = count_avoiders_prefix(entry.pop(k_eff), n_eff)
+    pop, stored = entry.pop(k_eff), entry.prefix(k_eff)
     if entry.has_formula:
-        reference = entry.sequence(n_eff, k_eff)
+        # Count first, so that the engine's ceiling refuses an oversized n
+        # before a reference builder (the cycle-interval filter) starts.
+        brute = count_avoiders_prefix(pop, n_max)
+        reference = entry.sequence(n_max, k_eff)
+        rows = _verify_rows(reference, brute.counts)
+        prefix_consistent = all(a == b for a, b in zip(reference[1:], stored))
     else:
-        reference = [1] + list(stored[:n_eff])
-    rows = _verify_rows(reference, brute.counts)
-    prefix_consistent = all(
-        reference[n] == stored[n - 1] for n in range(1, min(n_eff, len(stored)) + 1)
-    )
+        rows = _against_prefix(pop, stored, n_max)
+        prefix_consistent = True
     residual_zero = None
     check = _RESIDUAL_CHECKS.get(theorem_id)
     if check is not None:
-        residual_zero = check(TruncatedSeries(brute.counts)).is_zero()
+        residual_zero = check(TruncatedSeries([r.brute_value for r in rows])).is_zero()
     return Report(
         theorem_id=entry.id,
         method=entry.method,
@@ -916,14 +839,12 @@ def verify_theorem(theorem_id: str, n_max: int = 8, *, k: int | None = None) -> 
 
 
 def verify_all(n_max: int = 8) -> list[Report]:
-    """Verify every entry, families at each registered k."""
-    reports = []
-    for theorem_id in all_theorem_ids():
-        entry = THEOREMS[theorem_id]
-        ks = entry.registered_ks() if entry.family else (entry.k_default,)
-        for k in ks:
-            reports.append(verify_theorem(theorem_id, n_max, k=k))
-    return reports
+    """Verify every entry at each of its registered lengths."""
+    return [
+        verify_theorem(theorem_id, n_max, k=k)
+        for theorem_id in all_theorem_ids()
+        for k in THEOREMS[theorem_id].registered_ks()
+    ]
 
 
 # ----------------------------------------------------------------------
@@ -1023,12 +944,9 @@ def check_conjecture(
                 break
         else:
             raise ValueError(f"unknown conjecture {conjecture!r}")
-    n_eff = min(n_max, len(entry.prefix))
     pop = entry.pop()
-    brute = count_avoiders_prefix(pop, n_eff)
-    expected = [1] + list(entry.prefix[:n_eff])
     return ConjectureReport(
-        entry.a_number, entry.pop_text, pop.k, _verify_rows(expected, brute.counts)
+        entry.a_number, entry.pop_text, pop.k, _against_prefix(pop, entry.prefix, n_max)
     )
 
 

@@ -402,6 +402,17 @@ def test_scan_past_ceiling_is_usage_error(monkeypatch, capsys):
         assert "ceiling" in capsys.readouterr().err
 
 
+def test_scan_negative_nmax_is_refused_before_enumerating(monkeypatch, capsys):
+    def enumerate_pops(length):
+        raise AssertionError("enumerated POPs for a negative n_max")
+
+    monkeypatch.setattr(cli, "enumerate_pops", enumerate_pops)
+    assert main(["scan", "--length", "5", "--nmax", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "nonnegative" in captured.err
+
+
 def test_scan_length_four_recovers_every_catalogued_sequence():
     db = load_stripped(bundled_path())
     doc = scan_pops(4, 8, db=db, jobs=2)

@@ -117,6 +117,21 @@ def test_naive_counter_has_tighter_ceiling():
         naive_count_avoiders(pop, 8)
 
 
+@pytest.mark.parametrize(
+    "count",
+    [
+        lambda pop, n: naive_count_avoiders(pop, n),
+        lambda pop, n: count_avoiders_prefix(pop, n),
+        lambda pop, n: count_avoiders_pattern_set(linear_extensions(pop), n),
+        lambda pop, n: count_cycle_interval_perms(pop.k, n),
+    ],
+    ids=["naive", "prefix", "pattern_set", "cycle_interval"],
+)
+def test_every_counter_refuses_a_negative_length(count):
+    with pytest.raises(ValueError, match="nonnegative"):
+        count(parse_pop("k=3; 1>3"), -1)
+
+
 def test_parallel_count_equals_serial():
     pop = parse_pop("k=4; 1>2, 1>3, 4>2, 4>3")
     for n in (5, 7):

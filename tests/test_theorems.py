@@ -4,8 +4,10 @@ import pytest
 
 import poplab.theorems as theorems
 from poplab.counting import CYCLE_CEILING, CeilingExceeded
+from poplab.posets import parse_pop
 from poplab.theorems import (
     CONJECTURES,
+    STORED_COUNTS,
     THEOREMS,
     all_theorem_ids,
     check_all_conjectures,
@@ -52,7 +54,7 @@ def test_family_entries_register_two_lengths():
         assert entry.registered_ks() == (4, 5)
         assert entry.pop(4).k == 4
         assert entry.pop(5).k == 5
-        # The general factory agrees with the registered instances.
+        # The factory also builds the POP at a length not catalogued.
         assert entry.pop(6).k == 6
 
 
@@ -62,6 +64,24 @@ def test_fixed_entries_have_consistent_pop_lengths():
         for k in entry.registered_ks():
             assert entry.pop(k).k == k
             assert len(entry.prefix(k)) >= 8
+
+
+def test_stored_counts_keys_are_canonical():
+    for text in STORED_COUNTS:
+        assert parse_pop(text).to_text() == text
+
+
+def test_every_stored_record_is_reached():
+    # Each registered (entry, k) finding a record of at least 8 terms is
+    # checked by test_fixed_entries_have_consistent_pop_lengths.
+    reached = set()
+    for theorem_id in all_theorem_ids():
+        entry = get_theorem(theorem_id)
+        for k in entry.registered_ks():
+            text = entry.pop(k).to_text()
+            assert text in STORED_COUNTS, (theorem_id, k)
+            reached.add(text)
+    assert reached == set(STORED_COUNTS)
 
 
 def test_every_formula_matches_stored_prefix():

@@ -28,7 +28,7 @@ _SUBMODULE_NAMES = {
     "posets": """ClassKey Pop PopError antichain canonical_class dual
         enumerate_pops label_complement linear_extensions parse_pop
         symmetry_orbit""",
-    "series": """IntPolynomial TruncatedSeries from_rational monomial
+    "series": """TruncatedSeries from_rational monomial
         residual_thm314 residual_thm316""",
     "theorems": """CONJECTURES THEOREMS ConjectureReport Report
         all_theorem_ids check_all_conjectures check_conjecture get_theorem

@@ -37,7 +37,6 @@ from .perms import Permutation, _compiled_keep
 from .posets import Pop
 
 DEFAULT_CEILING = 10
-CYCLE_CEILING = 9
 # Depth of the subtrees that a parallel count hands to its workers.
 SPLIT_DEPTH = 4
 
@@ -302,7 +301,7 @@ def count_avoiders_pattern_set(
 
 
 def count_cycle_interval_perms(
-    k: int, n: int, *, ceiling: int = CYCLE_CEILING
+    k: int, n: int, *, ceiling: int = DEFAULT_CEILING
 ) -> int:
     """Permutations of length n whose every cycle fits in an interval
     of at most k-1 consecutive integers.

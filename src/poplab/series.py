@@ -11,49 +11,7 @@ from fractions import Fraction
 from math import isqrt
 from typing import Iterable, Sequence, Union
 
-DEFAULT_ORDER = 16
-
 _Coeff = Union[int, Fraction]
-
-
-class IntPolynomial:
-    """A polynomial with integer coefficients, ascending by degree."""
-
-    __slots__ = ("_coeffs",)
-
-    def __init__(self, coeffs: Iterable[int]):
-        vals = [int(c) for c in coeffs]
-        while len(vals) > 1 and vals[-1] == 0:
-            vals.pop()
-        if not vals:
-            vals = [0]
-        self._coeffs = tuple(vals)
-
-    @property
-    def coeffs(self) -> tuple[int, ...]:
-        return self._coeffs
-
-    @property
-    def degree(self) -> int:
-        if self._coeffs == (0,):
-            return -1
-        return len(self._coeffs) - 1
-
-    def coefficient(self, i: int) -> int:
-        return self._coeffs[i] if 0 <= i < len(self._coeffs) else 0
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, IntPolynomial) and self._coeffs == other._coeffs
-
-    def __hash__(self) -> int:
-        return hash(self._coeffs)
-
-    def __repr__(self) -> str:
-        return f"IntPolynomial({list(self._coeffs)!r})"
-
-
-def _as_poly(p: "IntPolynomial | Sequence[int]") -> IntPolynomial:
-    return p if isinstance(p, IntPolynomial) else IntPolynomial(p)
 
 
 class TruncatedSeries:
@@ -71,16 +29,6 @@ class TruncatedSeries:
         if not vals:
             raise ValueError("a series needs at least its constant term")
         self._coeffs = tuple(vals)
-
-    @classmethod
-    def from_polynomial(
-        cls, poly: "IntPolynomial | Sequence[int]", order: int = DEFAULT_ORDER
-    ) -> "TruncatedSeries":
-        return cls(_as_poly(poly).coeffs, order)
-
-    @classmethod
-    def constant(cls, value: _Coeff, order: int = DEFAULT_ORDER) -> "TruncatedSeries":
-        return cls([value], order)
 
     @property
     def order(self) -> int:
@@ -106,11 +54,6 @@ class TruncatedSeries:
 
     def is_zero(self) -> bool:
         return all(c == 0 for c in self._coeffs)
-
-    def truncate(self, order: int) -> "TruncatedSeries":
-        if order > self.order:
-            raise ValueError(f"cannot extend order {self.order} to {order}")
-        return TruncatedSeries(self._coeffs[: order + 1])
 
     # ------------------------------------------------------------------
     # Arithmetic; binary operations return the smaller order.
@@ -241,20 +184,14 @@ def _rational_sqrt(value: Fraction) -> Fraction | None:
     return Fraction(rn, rd)
 
 
-def from_rational(
-    num: "IntPolynomial | Sequence[int]",
-    den: "IntPolynomial | Sequence[int]",
-    order: int = DEFAULT_ORDER,
-) -> TruncatedSeries:
+def from_rational(num: Sequence[int], den: Sequence[int], order: int) -> TruncatedSeries:
     """Expand num(x)/den(x); den must have a nonzero constant term."""
-    n = TruncatedSeries.from_polynomial(num, order)
-    d = TruncatedSeries.from_polynomial(den, order)
-    return n / d
+    return TruncatedSeries(num, order) / TruncatedSeries(den, order)
 
 
-def monomial(order: int = DEFAULT_ORDER) -> TruncatedSeries:
+def monomial(order: int) -> TruncatedSeries:
     """The series x."""
-    return TruncatedSeries.from_polynomial([0, 1], order)
+    return TruncatedSeries([0, 1], order)
 
 
 def residual_thm314(series: TruncatedSeries) -> TruncatedSeries:
@@ -268,11 +205,11 @@ def residual_thm314(series: TruncatedSeries) -> TruncatedSeries:
 
 
 _THM316_POLYS = (
-    (4, IntPolynomial([-1, 8, 2])),
-    (3, IntPolynomial([5, -46, 4, 1])),
-    (2, IntPolynomial([-9, 94, -21, 3])),
-    (1, IntPolynomial([7, -82, 12, 1])),
-    (0, IntPolynomial([-2, 26, 3])),
+    (4, (-1, 8, 2)),
+    (3, (5, -46, 4, 1)),
+    (2, (-9, 94, -21, 3)),
+    (1, (7, -82, 12, 1)),
+    (0, (-2, 26, 3)),
 )
 
 
@@ -285,7 +222,7 @@ def residual_thm316(series: TruncatedSeries) -> TruncatedSeries:
     which must vanish when A truncates the true generating function.
     """
     order = series.order
-    total = TruncatedSeries.constant(0, order)
+    total = TruncatedSeries([0], order)
     for power, poly in _THM316_POLYS:
-        total = total + TruncatedSeries.from_polynomial(poly, order) * series**power
+        total = total + TruncatedSeries(poly, order) * series**power
     return total

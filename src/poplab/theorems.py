@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .counting import CYCLE_CEILING, _check_length, count_avoiders_prefix
+from .counting import DEFAULT_CEILING, _check_length, count_avoiders_prefix
 from .counting import count_cycle_interval_perms
 from .posets import Pop, parse_pop
 from .series import (
@@ -126,7 +126,7 @@ def _family_gap_tail(n_max: int, k: int) -> list[int]:
 def _family_cycle_interval(n_max: int, k: int) -> list[int]:
     # The bijection side: permutations whose cycles fit in length-(k-1)
     # intervals of values.  Refuse an oversized n before filtering any S_n.
-    _check_length(n_max, CYCLE_CEILING)
+    _check_length(n_max, DEFAULT_CEILING)
     return [count_cycle_interval_perms(k, n) for n in range(n_max + 1)]
 
 
@@ -181,10 +181,10 @@ def _seq_exact_division_recurrence(n_max: int, k: int) -> list[int]:
 
 def _seq_sqrt_quotient(n_max: int, k: int) -> list[int]:
     # (1-5x+(1+x)r) / (1-5x+(1-x)r) with r = sqrt(1-4x).
-    r = TruncatedSeries.from_polynomial([1, -4], n_max).sqrt()
-    base = TruncatedSeries.from_polynomial([1, -5], n_max)
-    num = base + TruncatedSeries.from_polynomial([1, 1], n_max) * r
-    den = base + TruncatedSeries.from_polynomial([1, -1], n_max) * r
+    r = TruncatedSeries([1, -4], n_max).sqrt()
+    base = TruncatedSeries([1, -5], n_max)
+    num = base + TruncatedSeries([1, 1], n_max) * r
+    den = base + TruncatedSeries([1, -1], n_max) * r
     return (num / den).integer_coefficients()
 
 
@@ -731,7 +731,7 @@ class Report:
     method: str
     k: int
     rows: tuple[VerifyRow, ...]
-    prefix_consistent: bool
+    prefix_consistent: bool | None
     residual_zero: bool | None
     notes: tuple[str, ...]
 
@@ -742,7 +742,7 @@ class Report:
     @property
     def _consistent(self) -> bool:
         return (
-            self.prefix_consistent
+            self.prefix_consistent is not False
             and self.residual_zero is not False
             and all(r.match for r in self.rows)
         )
@@ -786,7 +786,9 @@ class Report:
                     f"  mismatch at n={r.n}: formula {r.formula_value}, "
                     f"brute {r.brute_value}"
                 )
-        if not self.prefix_consistent:
+        if self.prefix_consistent is None:
+            lines.append("  no catalogued prefix")
+        elif not self.prefix_consistent:
             lines.append("  formula disagrees with the catalogued prefix")
         if self.residual_zero is not None:
             lines.append(
@@ -823,6 +825,9 @@ def verify_theorem(theorem_id: str, n_max: int = 8, *, k: int | None = None) -> 
     else:
         rows = _against_prefix(pop, stored, n_max)
         prefix_consistent = True
+    if not stored:
+        # Nothing is catalogued for this POP, so nothing was compared.
+        prefix_consistent = None
     residual_zero = None
     check = _RESIDUAL_CHECKS.get(theorem_id)
     if check is not None:

@@ -300,13 +300,13 @@ def test_criterion_12_series_property_suite():
     order = 12
     for num, den in RATIONAL_GFS:
         series = from_rational(num, den, order)
-        den_series = TruncatedSeries.from_polynomial(den, order)
-        num_series = TruncatedSeries.from_polynomial(num, order)
+        den_series = TruncatedSeries(den, order)
+        num_series = TruncatedSeries(num, order)
         assert series * den_series == num_series
         assert (num_series / den_series) * den_series == num_series
         assert list(series.coeffs) == expand_by_recurrence(num, den, order)
     for radicand in RADICANDS:
-        s = TruncatedSeries.from_polynomial(radicand, order)
+        s = TruncatedSeries(radicand, order)
         root = s.sqrt()
         assert root * root == s
     report(

@@ -211,9 +211,9 @@ def test_verify_past_ceiling_is_usage_error(capsys):
 
 
 def test_verify_past_cycle_filter_ceiling_is_usage_error(capsys):
-    # The engine counts n = 10, but the bijection's S_n filter stops at 9.
-    assert main(["verify", "thm-2.6", "--nmax", "10"]) == 2
-    assert "ceiling" in capsys.readouterr().err
+    # The bijection's S_n filter stops at the engine's ceiling, n = 10.
+    assert main(["verify", "thm-2.6", "--nmax", "11"]) == 2
+    assert "ceiling 10" in capsys.readouterr().err
 
 
 def test_verify_failure_gives_exit_one(monkeypatch, capsys):

@@ -232,5 +232,6 @@ def test_cycle_interval_known_values():
 
 def test_cycle_interval_ceiling():
     with pytest.raises(CeilingExceeded):
-        count_cycle_interval_perms(4, 10)
-    assert count_cycle_interval_perms(4, 10, ceiling=10) > 0
+        count_cycle_interval_perms(4, 11)
+    # The bijection of thm-2.6 at k = 4, at the default ceiling.
+    assert count_cycle_interval_perms(4, 10) == count_avoiders(parse_pop("k=4; 1>4"), 10)

@@ -6,7 +6,6 @@ from fractions import Fraction
 import pytest
 
 from poplab.series import (
-    IntPolynomial,
     TruncatedSeries,
     from_rational,
     monomial,
@@ -23,18 +22,6 @@ def random_series(rng: random.Random, order: int, nonzero_constant: bool = False
 
 
 # ----------------------------------------------------------------------
-# Polynomials
-
-
-def test_polynomial_trims_trailing_zeros():
-    assert IntPolynomial([1, 2, 0, 0]).coeffs == (1, 2)
-    assert IntPolynomial([]).degree == -1
-    assert IntPolynomial([0]).degree == -1
-    assert IntPolynomial([1, 2]).degree == 1
-    assert IntPolynomial([1, 2]).coefficient(5) == 0
-
-
-# ----------------------------------------------------------------------
 # Series arithmetic
 
 
@@ -43,6 +30,8 @@ def test_constructor_pads_and_truncates():
     assert s.coeffs == (1, 2, 0, 0, 0)
     t = TruncatedSeries([1, 2, 3], order=1)
     assert t.coeffs == (1, 2)
+    # Trailing zeros are cut like any other coefficient past the order.
+    assert TruncatedSeries([1, 2, 0, 0], order=2).coeffs == (1, 2, 0)
 
 
 def test_binary_ops_take_minimum_order():
@@ -86,7 +75,7 @@ def test_division_by_zero_constant_rejected():
 def test_power():
     x = monomial(8)
     assert ((1 + x) ** 3).integer_coefficients()[:4] == [1, 3, 3, 1]
-    assert ((1 + x) ** 0) == TruncatedSeries.constant(1, order=8)
+    assert ((1 + x) ** 0) == TruncatedSeries([1], order=8)
     with pytest.raises(ValueError):
         (1 + x) ** -1
 
@@ -151,13 +140,11 @@ def test_str_form():
 
 
 def test_from_rational_equals_explicit_division():
-    num = IntPolynomial([1, -3, 1])
-    den = IntPolynomial([1, -4, 2])
+    num = [1, -3, 1]
+    den = [1, -4, 2]
     order = 12
     direct = from_rational(num, den, order)
-    by_division = TruncatedSeries.from_polynomial(num, order) / (
-        TruncatedSeries.from_polynomial(den, order)
-    )
+    by_division = TruncatedSeries(num, order) / TruncatedSeries(den, order)
     assert direct == by_division
 
 
@@ -186,12 +173,12 @@ def test_residual_thm314_on_catalogued_prefix():
 
 def test_residual_thm314_trivial_inputs():
     order = 6
-    one = TruncatedSeries.constant(1, order=order)
+    one = TruncatedSeries([1], order=order)
     x = monomial(order)
     # A = 1 gives A - 1 - x*A/(1 - x*A^2) = -x/(1 - x).
     assert residual_thm314(one) == -x / (1 - x)
     # A = 0 kills the fraction entirely, leaving the constant -1.
-    assert residual_thm314(TruncatedSeries.constant(0, order=order)) == -one
+    assert residual_thm314(TruncatedSeries([0], order=order)) == -one
 
 
 def test_residual_thm316_on_catalogued_prefix():

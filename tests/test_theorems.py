@@ -3,7 +3,7 @@ from __future__ import annotations
 import pytest
 
 import poplab.theorems as theorems
-from poplab.counting import CYCLE_CEILING, CeilingExceeded
+from poplab.counting import DEFAULT_CEILING, CeilingExceeded
 from poplab.posets import parse_pop
 from poplab.theorems import (
     CONJECTURES,
@@ -14,6 +14,7 @@ from poplab.theorems import (
     check_conjecture,
     get_theorem,
     theorem_sequence,
+    verify_all,
     verify_theorem,
 )
 
@@ -45,7 +46,7 @@ def test_cycle_interval_reference_refuses_past_its_ceiling_at_once(monkeypatch):
     monkeypatch.setattr(theorems, "count_cycle_interval_perms", no_filter)
     with pytest.raises(CeilingExceeded) as info:
         theorem_sequence("thm-2.6", 11)
-    assert info.value.ceiling == CYCLE_CEILING
+    assert info.value.ceiling == DEFAULT_CEILING
 
 
 def test_family_entries_register_two_lengths():
@@ -138,6 +139,17 @@ def test_verify_theorem_at_other_length():
     report = verify_theorem("thm-2.6", n_max=6, k=5)
     assert report.k == 5
     assert report.passed
+
+
+def test_family_at_an_uncatalogued_length_reports_no_prefix_check():
+    # STORED_COUNTS holds no record for thm-2.2 at k = 6: nothing is compared.
+    assert get_theorem("thm-2.2").prefix(6) == ()
+    report = verify_theorem("thm-2.2", 7, k=6)
+    assert report.prefix_consistent is None
+    assert report.to_json()["prefix_consistent"] is None
+    assert report.passed
+    assert "no catalogued prefix" in report.to_text()
+    assert all(r.prefix_consistent is True for r in verify_all(5))
 
 
 def test_verify_entry_without_formula_uses_stored_prefix():

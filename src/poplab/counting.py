@@ -45,10 +45,7 @@ class CeilingExceeded(ValueError):
     """An exhaustive count was requested beyond the configured ceiling."""
 
     def __init__(self, n: int, ceiling: int):
-        super().__init__(
-            f"refusing exhaustive count at n={n} beyond ceiling {ceiling}; "
-            f"pass a larger ceiling to override"
-        )
+        super().__init__(f"refusing exhaustive count at n={n} beyond ceiling {ceiling}")
         self.n = n
         self.ceiling = ceiling
 

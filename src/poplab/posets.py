@@ -19,7 +19,7 @@ import re
 from itertools import permutations
 from typing import Iterable, Iterator, NamedTuple
 
-from .perms import Permutation
+from .perms import MAX_COMPILED_K, Permutation
 
 
 class PopError(ValueError):
@@ -178,8 +178,10 @@ _REL_RE = re.compile(r"^(\d+)>(\d+)$")
 def parse_pop(text: str) -> Pop:
     """Parse POP text such as ``"k=4; 1>2, 1>3"``.
 
-    Raises PopError for malformed syntax, labels outside 1..k, or a
-    relation set containing a cycle.
+    Raises PopError for malformed syntax, more labels than the matcher
+    handles, labels outside 1..k, or a relation set containing a cycle.
+    The label limit comes first, so a huge k is refused before its k x k
+    order matrix is built.
     """
     head, sep, tail = text.partition(";")
     if not sep:
@@ -188,6 +190,8 @@ def parse_pop(text: str) -> Pop:
     if not m:
         raise PopError(f"expected 'k=<int>' before ';', got {head.strip()!r}")
     k = int(m.group(1))
+    if k > MAX_COMPILED_K:
+        raise PopError(f"POPs have at most {MAX_COMPILED_K} labels, got k={k}")
     relations: list[tuple[int, int]] = []
     tail = tail.strip()
     if tail:

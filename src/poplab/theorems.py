@@ -2,7 +2,8 @@
 
 Each entry pairs a POP with an independently computable reference
 sequence (closed form, recurrence, generating function, binomial sum,
-or a bijection) and with the sequence prefix recorded in the catalogue.
+or a bijection).  ``STORED_COUNTS`` is the one table of recorded facts:
+the A-numbers and the catalogued prefix of every POP, keyed by its text.
 ``verify_theorem`` recomputes everything by brute force and reports the
 comparison; nothing is ever taken on faith from the stored prefixes.
 
@@ -10,9 +11,9 @@ Entries whose method is ``external-oracle-none`` have no derived
 formula; their stored prefix is the only reference, and the brute-force
 engine is the sole way to extend them.
 
-A handful of identifications are conjectural; those live in
-``CONJECTURES`` and are only ever reported as supported up to the
-computed range, never as proved.
+A handful of identifications are conjectural.  Their records sit in the
+same table; ``CONJECTURES`` lists their POP texts, and they are only ever
+reported as supported up to the computed range, never as proved.
 """
 
 from __future__ import annotations
@@ -251,8 +252,10 @@ class TheoremEntry:
     A single result holds its POP as ``fixed_pop``; a family holds a
     ``pop_factory`` that builds its POP at any length k >= 3.  ``builder``
     computes a(0)..a(n_max) from the entry's own formula, or is None when
-    the entry has no derived formula.  A-numbers and stored prefixes are
-    looked up in ``STORED_COUNTS`` by the POP's text.
+    the entry has no derived formula.  ``residual`` maps the brute-force
+    counts' series to a functional equation's residual, which is zero when
+    the counts satisfy it.  A-numbers and stored prefixes are looked up in
+    ``STORED_COUNTS`` by the POP's text.
     """
 
     id: str
@@ -261,6 +264,7 @@ class TheoremEntry:
     notes: tuple[str, ...] = ()
     fixed_pop: Pop | None = None
     pop_factory: Callable[[int], Pop] | None = None
+    residual: Callable[[TruncatedSeries], TruncatedSeries] | None = None
 
     @property
     def family(self) -> bool:
@@ -307,8 +311,9 @@ class TheoremEntry:
 
 
 # The A-numbers and the reference counts from n = 1 of each catalogued
-# POP, keyed by its canonical text.  A family's instance at k = 4 or 5
-# and the length-4 or length-5 entry for the same POP share one record.
+# or conjectured POP, keyed by its canonical text.  A family's instance at
+# k = 4 or 5 and the length-4 or length-5 entry for the same POP share one
+# record.
 STORED_COUNTS: dict[str, tuple[tuple[str, ...], tuple[int, ...]]] = {
     "k=4; 1>4": (("A214663", "A232164"), (1, 2, 6, 12, 25, 57, 124, 268, 588)),
     "k=4; 1>2, 4>3": (("A048495",), (1, 2, 6, 18, 50, 130, 322, 770, 1794)),
@@ -353,7 +358,27 @@ STORED_COUNTS: dict[str, tuple[tuple[str, ...], tuple[int, ...]]] = {
     "k=5; 1>2, 2>3, 3>4": (("A128088",), (1, 2, 6, 24, 115, 618, 3591, 22088)),
     # Only the thm-2.5 family reaches this POP; it has no catalogue id.
     "k=5; 1>3": ((), (1, 2, 6, 24, 60, 150, 336, 728)),
+    # Conjectured identifications, listed in CONJECTURES.
+    "k=5; 1>2, 1>4, 5>1": (("A216879",), (1, 2, 6, 24, 110, 540, 2772, 14704)),
+    "k=5; 1>2, 1>3, 1>4, 5>1": (("A054872",), (1, 2, 6, 24, 114, 600, 3372, 19824)),
+    "k=5; 1>2, 1>3, 3>4, 3>5": (("A118376",), (1, 2, 6, 24, 112, 568, 3032, 16768)),
+    "k=5; 1>5, 2>5, 5>3, 5>4": (("A212198",), (1, 2, 6, 24, 116, 632, 3720, 23072)),
+    "k=5; 1>4, 1>5, 2>4, 2>5, 5>3": (
+        ("A228907",),
+        (1, 2, 6, 24, 114, 598, 3336, 19402),
+    ),
+    "k=5; 1>5, 2>1, 5>3, 5>4": (("A224295",), (1, 2, 6, 24, 118, 672, 4256, 29176)),
 }
+
+# The POPs whose identification with their A-number is only conjectured.
+CONJECTURES: tuple[str, ...] = (
+    "k=5; 1>2, 1>4, 5>1",
+    "k=5; 1>2, 1>3, 1>4, 5>1",
+    "k=5; 1>2, 1>3, 3>4, 3>5",
+    "k=5; 1>5, 2>5, 5>3, 5>4",
+    "k=5; 1>4, 1>5, 2>4, 2>5, 5>3",
+    "k=5; 1>5, 2>1, 5>3, 5>4",
+)
 
 
 _FIB_NOTE = (
@@ -526,6 +551,7 @@ _ALL_ENTRIES: tuple[TheoremEntry, ...] = (
         "algebraic-gf",
         fixed_pop=parse_pop("k=4; 1>3, 1>4, 4>2"),
         builder=_seq_nested_fraction_gf,
+        residual=residual_thm314,
         notes=(
             "The generating function satisfies A = 1 + xA/(1 - xA^2); "
             "residual_thm314 checks this on any truncation.  A binomial "
@@ -550,6 +576,7 @@ _ALL_ENTRIES: tuple[TheoremEntry, ...] = (
         "algebraic-gf",
         fixed_pop=parse_pop("k=4; 1>2, 1>3, 2>4"),
         builder=None,
+        residual=residual_thm316,
         notes=(
             "No closed form is implemented; the generating function "
             "satisfies the quartic polynomial identity checked by "
@@ -664,13 +691,9 @@ _ALL_ENTRIES: tuple[TheoremEntry, ...] = (
 THEOREMS: dict[str, TheoremEntry] = {e.id: e for e in _ALL_ENTRIES}
 
 
-def _id_sort_key(theorem_id: str) -> tuple[int, int]:
-    major, minor = theorem_id.removeprefix("thm-").split(".")
-    return int(major), int(minor)
-
-
 def all_theorem_ids() -> list[str]:
-    return sorted(THEOREMS, key=_id_sort_key)
+    """The entry ids in numeric order, as ``_ALL_ENTRIES`` lists them."""
+    return list(THEOREMS)
 
 
 def get_theorem(theorem_id: str) -> TheoremEntry:
@@ -800,12 +823,6 @@ class Report:
         return "\n".join(lines)
 
 
-_RESIDUAL_CHECKS = {
-    "thm-3.14": residual_thm314,
-    "thm-3.16": residual_thm316,
-}
-
-
 def verify_theorem(theorem_id: str, n_max: int = 8, *, k: int | None = None) -> Report:
     """Recompute an entry by brute force and compare with its formula.
 
@@ -818,20 +835,18 @@ def verify_theorem(theorem_id: str, n_max: int = 8, *, k: int | None = None) -> 
     if entry.has_formula:
         # Count first, so that the engine's ceiling refuses an oversized n
         # before a reference builder (the cycle-interval filter) starts.
-        brute = count_avoiders_prefix(pop, n_max)
-        reference = entry.sequence(n_max, k_eff)
-        rows = _verify_rows(reference, brute.counts)
-        prefix_consistent = all(a == b for a, b in zip(reference[1:], stored))
+        brute = count_avoiders_prefix(pop, n_max).counts
+        rows = _verify_rows(entry.sequence(n_max, k_eff), brute)
     else:
         rows = _against_prefix(pop, stored, n_max)
-        prefix_consistent = True
-    if not stored:
-        # Nothing is catalogued for this POP, so nothing was compared.
-        prefix_consistent = None
+    # None when nothing is catalogued for this POP, so nothing was compared.
+    prefix_consistent = (
+        all(r.formula_value == s for r, s in zip(rows[1:], stored)) if stored else None
+    )
     residual_zero = None
-    check = _RESIDUAL_CHECKS.get(theorem_id)
-    if check is not None:
-        residual_zero = check(TruncatedSeries([r.brute_value for r in rows])).is_zero()
+    if entry.residual is not None:
+        brute_series = TruncatedSeries([r.brute_value for r in rows])
+        residual_zero = entry.residual(brute_series).is_zero()
     return Report(
         theorem_id=entry.id,
         method=entry.method,
@@ -854,42 +869,6 @@ def verify_all(n_max: int = 8) -> list[Report]:
 
 # ----------------------------------------------------------------------
 # Conjectured identifications
-
-
-@dataclass(frozen=True)
-class ConjectureEntry:
-    """A conjectured match between a POP and a catalogue sequence."""
-
-    a_number: str
-    pop_text: str
-    prefix: tuple[int, ...]
-
-    def pop(self) -> Pop:
-        return parse_pop(self.pop_text)
-
-
-CONJECTURES: tuple[ConjectureEntry, ...] = (
-    ConjectureEntry(
-        "A216879", "k=5; 1>2, 1>4, 5>1", (1, 2, 6, 24, 110, 540, 2772, 14704)
-    ),
-    ConjectureEntry(
-        "A054872", "k=5; 1>2, 1>3, 1>4, 5>1", (1, 2, 6, 24, 114, 600, 3372, 19824)
-    ),
-    ConjectureEntry(
-        "A118376", "k=5; 1>2, 1>3, 3>4, 3>5", (1, 2, 6, 24, 112, 568, 3032, 16768)
-    ),
-    ConjectureEntry(
-        "A212198", "k=5; 1>5, 2>5, 5>3, 5>4", (1, 2, 6, 24, 116, 632, 3720, 23072)
-    ),
-    ConjectureEntry(
-        "A228907",
-        "k=5; 1>4, 1>5, 2>4, 2>5, 5>3",
-        (1, 2, 6, 24, 114, 598, 3336, 19402),
-    ),
-    ConjectureEntry(
-        "A224295", "k=5; 1>5, 2>1, 5>3, 5>4", (1, 2, 6, 24, 118, 672, 4256, 29176)
-    ),
-)
 
 
 @dataclass(frozen=True)
@@ -935,25 +914,20 @@ class ConjectureReport:
         return f"conjecture {self.a_number}  {self.pop_text}  {self.status}"
 
 
-def check_conjecture(
-    conjecture: ConjectureEntry | str, n_max: int = 8
-) -> ConjectureReport:
-    """Brute-force one conjecture, given as an entry or by A-number.
-    The result can only ever support it over the computed range, not
-    prove it."""
-    if isinstance(conjecture, ConjectureEntry):
-        entry = conjecture
+def check_conjecture(a_number: str, n_max: int = 8) -> ConjectureReport:
+    """Brute-force the conjecture with this A-number.  The result can
+    only ever support it over the computed range, not prove it."""
+    for text in CONJECTURES:
+        if a_number in STORED_COUNTS[text][0]:
+            break
     else:
-        for entry in CONJECTURES:
-            if entry.a_number == conjecture:
-                break
-        else:
-            raise ValueError(f"unknown conjecture {conjecture!r}")
-    pop = entry.pop()
+        raise ValueError(f"unknown conjecture {a_number!r}")
+    pop = parse_pop(text)
     return ConjectureReport(
-        entry.a_number, entry.pop_text, pop.k, _against_prefix(pop, entry.prefix, n_max)
+        a_number, text, pop.k, _against_prefix(pop, STORED_COUNTS[text][1], n_max)
     )
 
 
 def check_all_conjectures(n_max: int = 8) -> list[ConjectureReport]:
-    return [check_conjecture(entry, n_max) for entry in CONJECTURES]
+    a_numbers = [STORED_COUNTS[text][0][0] for text in CONJECTURES]
+    return [check_conjecture(a_number, n_max) for a_number in a_numbers]

@@ -32,6 +32,18 @@ def test_expand_accepts_positional_pop(capsys):
     assert capsys.readouterr().out.splitlines() == ["21", "1 pattern"]
 
 
+def test_expand_past_ceiling_is_usage_error(monkeypatch, capsys):
+    # Refused before any of the k! orders is listed.
+    def linear_extensions(pop):
+        raise AssertionError("listed the patterns of a POP past the ceiling")
+
+    monkeypatch.setattr(cli, "linear_extensions", linear_extensions)
+    assert main(["expand", "k=11;"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "ceiling 10" in captured.err
+
+
 def test_pop_given_twice_is_usage_error(capsys):
     assert main(["expand", "k=2; 1>2", "--pop", "k=2; 1>2"]) == 2
     assert "not both" in capsys.readouterr().err
@@ -207,7 +219,10 @@ def test_verify_unknown_id_is_usage_error(capsys):
 
 def test_verify_past_ceiling_is_usage_error(capsys):
     assert main(["verify", "thm-3.15", "--nmax", "11"]) == 2
-    assert "ceiling" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "ceiling 10" in err
+    # Only count has --ceiling, so the error offers no larger one.
+    assert "larger ceiling" not in err
 
 
 def test_verify_past_cycle_filter_ceiling_is_usage_error(capsys):
@@ -399,7 +414,8 @@ def test_scan_past_ceiling_is_usage_error(monkeypatch, capsys):
     monkeypatch.setattr(cli, "enumerate_pops", enumerate_pops)
     for jobs in ("1", "2"):
         assert main(["scan", "--length", "5", "--nmax", "11", "--jobs", jobs]) == 2
-        assert "ceiling" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "ceiling 10" in err and "larger ceiling" not in err
 
 
 def test_scan_negative_nmax_is_refused_before_enumerating(monkeypatch, capsys):

@@ -66,6 +66,18 @@ def test_parse_rejects_malformed(bad):
         parse_pop(bad)
 
 
+def test_parse_refuses_more_labels_than_the_matcher_handles(monkeypatch):
+    assert parse_pop("k=21;").k == 21
+
+    def from_relations(k, relations):
+        raise AssertionError("built the order matrix of an oversized POP")
+
+    monkeypatch.setattr(Pop, "from_relations", from_relations)
+    for k in (22, 100000):
+        with pytest.raises(PopError, match="at most 21 labels"):
+            parse_pop(f"k={k};")
+
+
 def test_from_relations_closes():
     pop = Pop.from_relations(4, [(1, 2), (2, 3), (3, 4)])
     assert pop.less(4, 1)

@@ -74,8 +74,9 @@ def test_stored_counts_keys_are_canonical():
 
 def test_every_stored_record_is_reached():
     # Each registered (entry, k) finding a record of at least 8 terms is
-    # checked by test_fixed_entries_have_consistent_pop_lengths.
-    reached = set()
+    # checked by test_fixed_entries_have_consistent_pop_lengths; the
+    # conjectures reach the other records.
+    reached = set(CONJECTURES)
     for theorem_id in all_theorem_ids():
         entry = get_theorem(theorem_id)
         for k in entry.registered_ks():
@@ -163,6 +164,10 @@ def test_residual_reported_for_algebraic_entries():
     assert report.residual_zero is True
     report = verify_theorem("thm-2.3", n_max=5)
     assert report.residual_zero is None
+    # Exactly the two entries that carry a residual check report one.
+    residuals = {r.theorem_id: r.residual_zero for r in verify_all(5)}
+    checked = {i: zero for i, zero in residuals.items() if zero is not None}
+    assert checked == {"thm-3.14": True, "thm-3.16": True}
 
 
 # ----------------------------------------------------------------------
@@ -171,11 +176,12 @@ def test_residual_reported_for_algebraic_entries():
 
 def test_conjecture_table():
     assert len(CONJECTURES) == 6
-    a_numbers = [c.a_number for c in CONJECTURES]
+    a_numbers = [STORED_COUNTS[text][0] for text in CONJECTURES]
     assert len(set(a_numbers)) == 6
-    for conj in CONJECTURES:
-        assert conj.pop().k == 5
-        assert conj.prefix[:4] == (1, 2, 6, 24)
+    assert all(len(ids) == 1 for ids in a_numbers)
+    for text in CONJECTURES:
+        assert parse_pop(text).k == 5
+        assert STORED_COUNTS[text][1][:4] == (1, 2, 6, 24)
 
 
 def test_check_conjecture_quickly():

@@ -69,8 +69,10 @@ def _pop_text_arg(args: argparse.Namespace) -> str:
 
 def cmd_expand(args: argparse.Namespace) -> int:
     pop = parse_pop(_pop_text_arg(args))
-    # There are up to k! patterns; refuse k past the ceiling before listing any.
-    _check_length(pop.k, DEFAULT_CEILING)
+    if pop.k > DEFAULT_CEILING:
+        raise ValueError(
+            f"refusing to list up to k! patterns at k={pop.k} beyond ceiling {DEFAULT_CEILING}"
+        )
     patterns = [str(p) for p in linear_extensions(pop)]
     label = "pattern" if len(patterns) == 1 else "patterns"
     _emit(

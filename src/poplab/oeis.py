@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import os
 import re
+import sys
 import warnings
 from dataclasses import dataclass
 from importlib import resources
@@ -48,32 +49,87 @@ class Match:
 
 
 class OeisDb:
-    """An in-memory map from A-numbers to term tuples."""
+    """A map from A-numbers to term tuples.
+
+    Each row is kept as its canonical text ``,t1,...,tn,``: every term
+    written as ``str(int(t))``, so equal terms have equal text.  A row
+    becomes a tuple of ints only when it is read (``db[a]``,
+    ``items()``) or when ``match_sequences`` makes it a candidate.  As
+    in a loaded file, no term may have more digits than the
+    interpreter's int-string cap (``sys.get_int_max_str_digits()``).
+    """
 
     def __init__(self, entries: dict[str, tuple[int, ...]], source: str = "<memory>"):
-        self._entries = dict(entries)
+        self._rows = {a: _text(terms) for a, terms in entries.items()}
         self.source = source
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self._rows)
 
     def __contains__(self, a_number: str) -> bool:
-        return a_number in self._entries
+        return a_number in self._rows
 
     def __getitem__(self, a_number: str) -> tuple[int, ...]:
-        return self._entries[a_number]
+        return _terms(self._rows[a_number])
 
     def __iter__(self) -> Iterator[str]:
-        return iter(sorted(self._entries))
+        return iter(sorted(self._rows))
 
     def a_numbers(self) -> list[str]:
-        return sorted(self._entries)
+        return sorted(self._rows)
 
     def items(self) -> Iterator[tuple[str, tuple[int, ...]]]:
-        return ((a, self._entries[a]) for a in sorted(self._entries))
+        return ((a, _terms(self._rows[a])) for a in sorted(self._rows))
+
+
+def _text(terms: Sequence[int]) -> str:
+    return ",".join(["", *map(str, map(int, terms)), ""])
+
+
+def _terms(text: str) -> tuple[int, ...]:
+    return tuple(map(int, text.split(",")[1:-1]))
 
 
 _LINE_RE = re.compile(r"(A\d{6,7})\s+(.*)")
+# A row as the fast pass takes it, before its terms are checked.
+_CANONICAL_LINE_RE = re.compile(r"(A[0-9]{6,7}) (,.*,)")
+_TERM_CHARS = b"0123456789,-\n"
+_NONZERO_TO_ONE = bytes.maketrans(b"123456789", b"111111111")
+# An empty term or a leading zero, once every nonzero digit reads 1.
+_EMPTY_OR_LEADING_ZERO = re.compile(rb",(?:,|0[01])")
+
+
+def _canonical_rows(text: str) -> dict[str, str] | None:
+    """The rows of a file whose lines are all comments, blank, or rows
+    ``A... ,t1,...,tn,`` with canonical terms and unique A-numbers, and
+    whose payloads fit the interpreter's int-string digit cap, if any;
+    None for any other file."""
+    rows: dict[str, str] = {}
+    for line in text.splitlines():
+        m = _CANONICAL_LINE_RE.fullmatch(line)
+        if m is None:
+            if line[:1] in ("", "#"):
+                continue
+            return None
+        a_number, payload = m.groups()
+        if a_number in rows:
+            return None
+        rows[a_number] = payload
+    if not rows:
+        return None
+    data = "\n".join(rows.values()).encode()
+    if data.translate(None, _TERM_CHARS):
+        return None
+    data = data.translate(_NONZERO_TO_ONE)
+    if _EMPTY_OR_LEADING_ZERO.search(data):
+        return None
+    # Each minus sign starts a term and precedes a nonzero digit.
+    if b"-" in data and data.count(b"-") != data.count(b",-1"):
+        return None
+    cap = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if cap and max(map(len, rows.values())) > cap:
+        return None
+    return rows
 
 
 def load_stripped(path: str | Path) -> OeisDb:
@@ -82,6 +138,12 @@ def load_stripped(path: str | Path) -> OeisDb:
     Comment and blank lines are skipped silently; stray text lines are
     skipped with an OeisFormatWarning; a malformed sequence line, a
     byte-order mark, or a file with no sequences at all is an error.
+
+    A file of canonical rows (one space after the A-number, every term
+    spelled ``-?(0|[1-9][0-9]*)`` but never ``-0``) is taken in one
+    fast pass that parses no term.  Any other file goes whole to the
+    careful pass, which parses every term and reports each problem
+    with its line number.
     """
     path = Path(path)
     try:
@@ -92,6 +154,13 @@ def load_stripped(path: str | Path) -> OeisDb:
         raise OeisError(f"{path} is not UTF-8 text: {exc}") from exc
     if text.startswith("﻿"):
         raise OeisError(f"{path} begins with a byte-order mark")
+    db = OeisDb({}, source=str(path))
+    db._rows = _canonical_rows(text) or _careful_rows(path, text)
+    return db
+
+
+def _careful_rows(path: Path, text: str) -> dict[str, str]:
+    """Parse each line's terms to ints, as canonical row text."""
     entries: dict[str, tuple[int, ...]] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -102,7 +171,7 @@ def load_stripped(path: str | Path) -> OeisDb:
             warnings.warn(
                 f"{path}:{lineno}: skipping stray text line",
                 OeisFormatWarning,
-                stacklevel=2,
+                stacklevel=3,  # the caller of load_stripped
             )
             continue
         a_number, payload = m.group(1), m.group(2)
@@ -124,7 +193,7 @@ def load_stripped(path: str | Path) -> OeisDb:
         entries[a_number] = terms
     if not entries:
         raise OeisError(f"{path} contains no sequences")
-    return OeisDb(entries, source=str(path))
+    return {a: _text(terms) for a, terms in entries.items()}
 
 
 def bundled_path() -> Path:
@@ -170,9 +239,14 @@ def match_sequences(
     each query's results come back sorted by (shift, A-number).  A
     query with fewer than ``min_overlap`` terms raises OeisError.
 
-    The database is read once: each row looks up its window at each
-    shift in a dict of every query's allowed drops, and a hit counts
-    only when the whole overlap compares equal.  No index is kept.
+    The database is read once, and a row is parsed only when it can
+    match.  A row aligns at shift s only if its term s + min_overlap - 1
+    equals the last term of some query window, so a row none of whose
+    terms min_overlap - 1 .. min_overlap - 1 + max_shift (0-based) is
+    such a last term, compared as canonical text, is skipped unparsed.
+    Each remaining row looks up its window at each shift in a dict of
+    every query's allowed drops, and a hit counts only when the whole
+    overlap compares equal as ints.  No index is kept between calls.
     """
     if min_overlap < 1:
         raise ValueError(f"min_overlap must be positive, got {min_overlap}")
@@ -188,8 +262,14 @@ def match_sequences(
         for dropped in range(min(max_shift, len(computed) - min_overlap) + 1):
             key = computed[dropped : dropped + min_overlap]
             windows.setdefault(key, []).append((q, dropped))
+    lasts = {str(key[-1]) for key in windows}
+    # split(",") puts "" before a row's leading comma, so term i is part i + 1.
+    first, stop = min_overlap, min_overlap + max_shift + 1
     found: list[list[Match]] = [[] for _ in blocks]
-    for a_number, stored in db.items():
+    for a_number, text in db._rows.items():
+        if lasts.isdisjoint(text.split(",", stop)[first:stop]):
+            continue
+        stored = _terms(text)
         best: dict[int, Match] = {}
         # Shifts ascend, so a later hit wins only with a smaller drop.
         for shift in range(min(max_shift, len(stored) - min_overlap) + 1):

@@ -41,7 +41,9 @@ def test_expand_past_ceiling_is_usage_error(monkeypatch, capsys):
     assert main(["expand", "k=11;"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "ceiling 10" in captured.err
+    assert captured.err == (
+        "error: refusing to list up to k! patterns at k=11 beyond ceiling 10\n"
+    )
 
 
 def test_pop_given_twice_is_usage_error(capsys):

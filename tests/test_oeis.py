@@ -2,9 +2,14 @@ from __future__ import annotations
 
 import os
 import random
+import re
+import sys
+import warnings
+from pathlib import Path
 
 import pytest
 
+from poplab import oeis
 from poplab.oeis import (
     OeisDb,
     OeisError,
@@ -86,6 +91,180 @@ def test_load_warns_on_stray_text(tmp_path):
 def test_load_missing_file():
     with pytest.raises(OeisError):
         load_stripped("/no/such/file")
+
+
+# ----------------------------------------------------------------------
+# Loading against a per-line reference
+
+
+def reference_load(path):
+    """Oracle: read every line, and parse every term of every row to int."""
+    path = Path(path)
+    text = path.read_text(encoding="utf-8")
+    if text.startswith("\ufeff"):
+        raise OeisError(f"{path} begins with a byte-order mark")
+    entries = {}
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        m = re.fullmatch(r"(A\d{6,7})\s+(.*)", line)
+        if not m:
+            warnings.warn(
+                f"{path}:{lineno}: skipping stray text line",
+                OeisFormatWarning,
+                stacklevel=2,
+            )
+            continue
+        a_number, payload = m.group(1), m.group(2)
+        if a_number in entries:
+            raise OeisError(f"{path}:{lineno}: duplicate entry {a_number}")
+        if not (payload.startswith(",") and payload.endswith(",")):
+            raise OeisError(
+                f"{path}:{lineno}: terms must be wrapped in commas: {payload!r}"
+            )
+        body = payload[1:-1]
+        if not body:
+            raise OeisError(f"{path}:{lineno}: {a_number} has no terms")
+        try:
+            terms = tuple(map(int, body.split(",")))
+        except ValueError:
+            raise OeisError(
+                f"{path}:{lineno}: non-integer term in {a_number}"
+            ) from None
+        entries[a_number] = terms
+    if not entries:
+        raise OeisError(f"{path} contains no sequences")
+    return entries
+
+
+def outcome(load, path):
+    """The rows or error text of one load, and its warnings with the
+    place each names as its caller."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            result = dict(load(path).items())
+        except OeisError as exc:
+            result = str(exc)
+    return result, [(w.category, str(w.message), w.filename, w.lineno) for w in caught]
+
+
+def random_stripped(rng: random.Random, canonical: bool) -> str:
+    """A seeded stripped file: rows of small, negative and long terms,
+    comments and blank lines and, unless canonical, terms, separators
+    and line ends that int() and the careful pass accept in other
+    spellings."""
+    def spell(t):
+        if canonical or rng.random() < 0.7:
+            return str(t)
+        sign = "-" if t < 0 else rng.choice(("", "+"))
+        digits = "0" * rng.randrange(3) + str(abs(t))
+        return rng.choice(("", " ", "\t")) + sign + digits + rng.choice(("", " ", "\t"))
+
+    lines = ["# seeded rows"]
+    for i in rng.sample(range(10**6), rng.randrange(1, 40)):
+        terms = [
+            rng.choice((0, 1, -1, rng.randrange(-10**6, 10**6), rng.randrange(10**40)))
+            for _ in range(rng.randrange(1, 12))
+        ]
+        payload = "," + ",".join(map(spell, terms)) + ","
+        if not canonical and rng.random() < 0.1:
+            payload = payload.replace(",0,", ",-0,")
+        sep = " " if canonical else rng.choice((" ", " ", "\t", "  "))
+        lines.append(f"A{i:0{rng.choice((6, 7))}d}{sep}{payload}")
+        if rng.random() < 0.15:
+            lines.append(rng.choice(("", "# comment, 1,2,3", "#")))
+        if not canonical and rng.random() < 0.1:
+            lines.append(rng.choice(("   ", "\t# indented comment")))
+    newline = "\r\n" if not canonical and rng.random() < 0.5 else "\n"
+    return newline.join(lines) + newline
+
+
+def check_load(path):
+    """load_stripped agrees with the reference on rows, warnings and
+    errors, and keeps each row as canonical text, which the matcher's
+    prefilter compares."""
+    want = outcome(reference_load, path)
+    assert outcome(load_stripped, path) == want
+    rows = want[0]
+    if isinstance(rows, dict):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            stored = load_stripped(path)._rows
+        assert stored == {a: "," + "".join(f"{t}," for t in terms) for a, terms in rows.items()}
+    return want
+
+
+@pytest.mark.parametrize("canonical", [True, False])
+def test_load_equals_per_line_reference(tmp_path, canonical):
+    rng = random.Random(1903)
+    for trial in range(40):
+        path = write(tmp_path, random_stripped(rng, canonical), name=f"stripped{trial}")
+        rows, caught = check_load(path)
+        assert isinstance(rows, dict) and caught == []
+
+
+@pytest.mark.parametrize(
+    "spelling", ["05", "00", "+5", "+0", "-0", "-05", " 5", "5\t", "1_000", "\u0665"]
+)
+def test_load_reads_each_other_spelling_as_its_int(tmp_path, spelling):
+    path = write(tmp_path, f"A000001 ,1,-2,\nA000002 ,3,{spelling},4,\n")
+    rows, caught = check_load(path)
+    assert rows["A000002"] == (3, int(spelling), 4)
+
+
+# Canonical rows come first, so that an error's line number is not 1.
+HEAD = "# header\nA000001 ,1,2,\nA000002 ,-3,0,\n"
+LOAD_ERRORS = {
+    "duplicate": HEAD + "A000010 ,1,\nA000010 ,2,\n",
+    "unwrapped payload": HEAD + "A000010 1,2,\n",
+    "no terms": HEAD + "A000010 ,\n",
+    "empty term": HEAD + "A000010 ,1,,2,\n",
+    "non-integer term": HEAD + "A000010 ,1,2x,\n",
+    "5000-digit term": HEAD + "A000010 ,1," + "9" * 5000 + ",\n",
+    "stray line": HEAD + "stray words\nA000010 ,1,\n",
+    "byte-order mark": "\ufeff" + HEAD,
+    "no rows": "# only comments\n\n",
+}
+
+
+@pytest.mark.parametrize("case", sorted(LOAD_ERRORS))
+def test_load_errors_equal_per_line_reference(tmp_path, case):
+    rows, caught = check_load(write(tmp_path, LOAD_ERRORS[case]))
+    if case == "stray line":
+        assert [(c, f) for c, _, f, _ in caught] == [(OeisFormatWarning, __file__)]
+        assert len(rows) == 3
+    elif case == "5000-digit term" and not getattr(sys, "get_int_max_str_digits", int)():
+        assert len(rows) == 3
+    else:
+        assert isinstance(rows, str) and caught == []
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "set_int_max_str_digits"), reason="no int-string digit cap"
+)
+def test_load_refuses_term_past_int_digit_cap(tmp_path):
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        path = write(tmp_path, "A000001 ,1," + "9" * 4301 + ",\n")
+        with pytest.raises(OeisError, match=":1: non-integer term in A000001"):
+            load_stripped(path)
+        assert load_stripped(write(tmp_path, "A000001 ,1," + "9" * 4300 + ",\n", name="cap"))
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
+def test_canonical_files_skip_the_careful_pass(tmp_path, monkeypatch):
+    def careful(path, text):
+        raise AssertionError(f"{path} went to the careful pass")
+
+    monkeypatch.setattr(oeis, "_careful_rows", careful)
+    assert len(load_stripped(bundled_path())) == 38
+    rng = random.Random(2019)
+    for trial in range(10):
+        load_stripped(write(tmp_path, random_stripped(rng, True), name=f"s{trial}"))
 
 
 # ----------------------------------------------------------------------
@@ -225,9 +404,11 @@ def linear_match(db, terms, *, min_overlap, max_shift):
     return found
 
 
-def synthetic_db(tmp_path, seed: int):
-    """A seeded stripped file of a few thousand rows, and queries whose
-    matches sit at every shift and drop up to 4."""
+def synthetic_rows(seed: int):
+    """Seeded rows of a few thousand sequences; queries whose matches sit
+    at every shift and drop up to 4; and decoy rows, which hold a query
+    window's last term at every position the prefilter reads but align
+    with no query at any shift."""
     rng = random.Random(seed)
     bases = [tuple(rng.randrange(1, 10**6) for _ in range(12)) for _ in range(6)]
     queries = [list(base[:9]) for base in bases]
@@ -250,21 +431,57 @@ def synthetic_db(tmp_path, seed: int):
     rows += [[rng.randrange(2) for _ in range(rng.randrange(1, 15))] for _ in range(2500)]
     rows += [[rng.randrange(10**3) for _ in range(rng.randrange(1, 15))] for _ in range(500)]
     rng.shuffle(rows)
-    text = "".join(f"A{i:06d} ,{','.join(map(str, row))},\n" for i, row in enumerate(rows))
-    path = tmp_path / "stripped"
+    entries = {f"A{i:06d}": tuple(row) for i, row in enumerate(rows)}
+    # Terms 6, 7 and 8 are the last terms of the windows of base[:9] at
+    # min_overlap 7, 5 and 8; the junk before them matches no query term.
+    decoys = {
+        f"A{900000 + i}": tuple(rng.randrange(4 * 10**6, 5 * 10**6) for _ in range(6)) + base[6:9]
+        for i, base in enumerate(bases)
+    }
+    entries.update(decoys)
+    return entries, queries, set(decoys)
+
+
+def write_rows(path, entries, spell=str):
+    text = "".join(f"{a} ,{','.join(map(spell, row))},\n" for a, row in entries.items())
     path.write_text("# seeded synthetic rows\n" + text)
-    return load_stripped(path), queries
+    return path
+
+
+def respell(rng: random.Random):
+    """Spell a term as int() reads it, but not canonically."""
+    return lambda t: rng.choice(("0{}", "+{}", " {}", "{}\t", "00{}")).format(t)
 
 
 @pytest.mark.parametrize("min_overlap,max_shift", [(7, 4), (5, 2), (8, 6)])
-def test_match_sequences_equals_linear_reference(tmp_path, min_overlap, max_shift):
-    db, queries = synthetic_db(tmp_path, seed=2024)
+def test_match_sequences_equals_linear_reference(tmp_path, monkeypatch, min_overlap, max_shift):
+    entries, queries, decoys = synthetic_rows(seed=2024)
+    dbs = {
+        "canonical file": load_stripped(write_rows(tmp_path / "canonical", entries)),
+        # Every term is respelled, so this file goes through the careful pass.
+        "respelled file": load_stripped(
+            write_rows(tmp_path / "respelled", entries, respell(random.Random(7)))
+        ),
+        "in memory": OeisDb(entries),
+    }
     queries = [q for q in queries if len(q) >= min_overlap]
     kw = {"min_overlap": min_overlap, "max_shift": max_shift}
-    want = [linear_match(db, q, **kw) for q in queries]
-    assert match_sequences(db, queries, **kw) == want
+    want = [linear_match(dbs["in memory"], q, **kw) for q in queries]
+    parse = oeis._terms
+    for name, db in dbs.items():
+        assert dict(db.items()) == entries, name
+        parsed = []
+        monkeypatch.setattr(oeis, "_terms", lambda text: parsed.append(text) or parse(text))
+        got = match_sequences(db, queries, **kw)
+        monkeypatch.undo()
+        assert got == want, name
+        # Each decoy passes the prefilter, and the int comparison rejects it.
+        assert {db._rows[a] for a in decoys} <= set(parsed), name
+        assert len(parsed) < len(db), name
+    db = dbs["canonical file"]
     assert [match_sequence(db, q, **kw) for q in queries[:8]] == want[:8]
     found = [m for matches in want for m in matches]
+    assert decoys.isdisjoint(m.a_number for m in found)
     assert {m.shift for m in found} == set(range(max_shift + 1))
     assert {m.dropped for m in found} >= set(range(min(max_shift, 4) + 1))
 

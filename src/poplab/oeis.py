@@ -15,6 +15,7 @@ import os
 import re
 import sys
 import warnings
+from contextlib import suppress
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -262,7 +263,11 @@ def match_sequences(
         for dropped in range(min(max_shift, len(computed) - min_overlap) + 1):
             key = computed[dropped : dropped + min_overlap]
             windows.setdefault(key, []).append((q, dropped))
-    lasts = {str(key[-1]) for key in windows}
+    # str() refuses a term past the int-string cap, and no stored term is one.
+    lasts = set()
+    for key in windows:
+        with suppress(ValueError):
+            lasts.add(str(key[-1]))
     # split(",") puts "" before a row's leading comma, so term i is part i + 1.
     first, stop = min_overlap, min_overlap + max_shift + 1
     found: list[list[Match]] = [[] for _ in blocks]

@@ -7,9 +7,10 @@ the A-numbers and the catalogued prefix of every POP, keyed by its text.
 ``verify_theorem`` recomputes everything by brute force and reports the
 comparison; nothing is ever taken on faith from the stored prefixes.
 
-Entries whose method is ``external-oracle-none`` have no derived
-formula; their stored prefix is the only reference, and the brute-force
-engine is the sole way to extend them.
+Each entry's formula sits in its record, built from a few shared shapes:
+a closed form or a recurrence over (n, k), or a generating function.
+Entries whose ``builder`` is None have no derived formula; their stored
+prefix is the only reference, and brute force the sole way to extend them.
 
 A handful of identifications are conjectural.  Their records sit in the
 same table; ``CONJECTURES`` lists their POP texts, and they are only ever
@@ -34,23 +35,54 @@ from .series import (
 )
 
 _Builder = Callable[[int, int], list[int]]
+_Residual = Callable[[TruncatedSeries], TruncatedSeries]
 
 
 # ----------------------------------------------------------------------
-# Reference sequence builders.  Each returns a(0)..a(n_max); the second
-# argument is the POP length k, ignored by the fixed-k entries.
+# Reference sequence shapes.  Each builder returns a(0)..a(n_max); its
+# second argument is the POP length k, which only the families read.
 
 
-def _pattern_fib(m_max: int) -> list[int]:
-    """Counts of permutations avoiding all of 231, 312, 321.
+def _recurrence(start: int | None, step: Callable[[list, int, int], int]) -> _Builder:
+    """a(n) = n! below ``start`` (the POP length k when None), and
+    a(n) = step(a, n, k) from there on, where a holds a(0)..a(n-1)."""
 
-    F(0) = F(1) = 1 and F(m) = F(m-1) + F(m-2): the Fibonacci numbers
-    in the indexing natural for these avoiders.
-    """
-    out = [1, 1]
-    while len(out) <= m_max:
-        out.append(out[-1] + out[-2])
-    return out[: m_max + 1]
+    def build(n_max: int, k: int) -> list[int]:
+        switch = k if start is None else start
+        a = [math.factorial(n) for n in range(min(switch, n_max + 1))]
+        for n in range(switch, n_max + 1):
+            a.append(step(a, n, k))
+        return a
+
+    return build
+
+
+def _closed_form(start: int | None, f: Callable[[int, int], int]) -> _Builder:
+    """n! below ``start`` (the POP length k when None), f(n, k) from there on."""
+    return _recurrence(start, lambda a, n, k: f(n, k))
+
+
+def _series(gf: Callable[[int], TruncatedSeries]) -> _Builder:
+    """The integer coefficients of gf(n_max), a generating function
+    known through x**n_max."""
+
+    def build(n_max: int, k: int) -> list[int]:
+        return gf(n_max).integer_coefficients()
+
+    return build
+
+
+def _rational_gf(num: Sequence[int], den: Sequence[int]) -> _Builder:
+    return _series(lambda order: from_rational(num, den, order))
+
+
+def _fib(m: int) -> int:
+    """F(0) = F(1) = 1 and F(m) = F(m-1) + F(m-2): the counts of
+    permutations avoiding all of 231, 312, 321."""
+    a, b = 1, 1
+    for _ in range(m):
+        a, b = b, a + b
+    return a
 
 
 def _schroder(m_max: int) -> list[int]:
@@ -59,24 +91,6 @@ def _schroder(m_max: int) -> list[int]:
     for m in range(1, m_max + 1):
         out.append(out[m - 1] + sum(out[i] * out[m - 1 - i] for i in range(m)))
     return out
-
-
-def _closed_form(switch: int, f: Callable[[int], int]) -> _Builder:
-    """n! below the switch point, f(n) from there on."""
-
-    def build(n_max: int, k: int) -> list[int]:
-        return [
-            math.factorial(n) if n < switch else f(n) for n in range(n_max + 1)
-        ]
-
-    return build
-
-
-def _rational_gf(num: Sequence[int], den: Sequence[int]) -> _Builder:
-    def build(n_max: int, k: int) -> list[int]:
-        return from_rational(num, den, n_max).integer_coefficients()
-
-    return build
 
 
 def _exact_div(numerator: int, denominator: int) -> int:
@@ -88,42 +102,6 @@ def _exact_div(numerator: int, denominator: int) -> int:
     return q
 
 
-def _family_top_above_rest(n_max: int, k: int) -> list[int]:
-    # a(n) = (k-1)! * (k-1)^(n-k+1) once n reaches k.
-    base = math.factorial(k - 1)
-    return [
-        math.factorial(n) if n < k else base * (k - 1) ** (n - k + 1)
-        for n in range(n_max + 1)
-    ]
-
-
-def _family_extreme_pair(n_max: int, k: int) -> list[int]:
-    # a(n) = 2(k-2) a(n-1) - (k-2)(k-3) a(n-2) once n reaches k.
-    c1 = 2 * (k - 2)
-    c2 = (k - 2) * (k - 3)
-    out = [math.factorial(n) for n in range(min(k, n_max + 1))]
-    for n in range(k, n_max + 1):
-        out.append(c1 * out[n - 1] - c2 * out[n - 2])
-    return out
-
-
-def _family_isolated_run(n_max: int, k: int) -> list[int]:
-    # One covering relation plus k-2 isolated labels: a(n) = n!/(n-k+2)!.
-    return [
-        math.factorial(n) if n < k else math.perm(n, k - 2)
-        for n in range(n_max + 1)
-    ]
-
-
-def _family_gap_tail(n_max: int, k: int) -> list[int]:
-    # a(n) = n!/(n-k+3)! * F(n-k+3) with F as in _pattern_fib.
-    fib = _pattern_fib(max(n_max - k + 3, 1))
-    return [
-        math.factorial(n) if n < k else math.perm(n, k - 3) * fib[n - k + 3]
-        for n in range(n_max + 1)
-    ]
-
-
 def _family_cycle_interval(n_max: int, k: int) -> list[int]:
     # The bijection side: permutations whose cycles fit in length-(k-1)
     # intervals of values.  Refuse an oversized n before filtering any S_n.
@@ -131,111 +109,28 @@ def _family_cycle_interval(n_max: int, k: int) -> list[int]:
     return [count_cycle_interval_perms(k, n) for n in range(n_max + 1)]
 
 
-def _seq_powers_plus_linear(n_max: int, k: int) -> list[int]:
-    # (3^n - 2n + 3)/4, exact for every n >= 1.
-    return [
-        1 if n == 0 else _exact_div(3**n - 2 * n + 3, 4) for n in range(n_max + 1)
-    ]
-
-
-def _seq_three_step_binomial(n_max: int, k: int) -> list[int]:
-    # a(n) = sum_i C(n+2i-1, 3i).
-    return [
-        1 if n == 0 else sum(math.comb(n + 2 * i - 1, 3 * i) for i in range(n))
-        for n in range(n_max + 1)
-    ]
-
-
-def _seq_catalan_convolution(n_max: int, k: int) -> list[int]:
-    # a(n) = (1/(n+1)) sum_j C(n-j-1, j) C(2n-2j, n).
-    out = [1]
-    for n in range(1, n_max + 1):
-        total = sum(
-            math.comb(n - j - 1, j) * math.comb(2 * n - 2 * j, n) for j in range(n)
-        )
-        out.append(_exact_div(total, n + 1))
-    return out
-
-
-def _seq_nested_fraction_gf(n_max: int, k: int) -> list[int]:
-    # Fixed point of A = 1 + xA/(1 - xA^2); each pass settles one more
-    # coefficient because the right side only consumes lower orders.
-    x = monomial(n_max)
-    a = TruncatedSeries([1], n_max)
-    for _ in range(n_max + 1):
-        a = 1 + (x * a) / (1 - x * a * a)
-    return a.integer_coefficients()
-
-
-def _seq_exact_division_recurrence(n_max: int, k: int) -> list[int]:
-    # a(n) = ((13n-5) a(n-1) - (16n-23) a(n-2) + 5(n-2) a(n-3)) / (2(n+1)).
-    out = [1, 1, 2][: n_max + 1]
-    for n in range(3, n_max + 1):
-        num = (
-            (13 * n - 5) * out[n - 1]
-            - (16 * n - 23) * out[n - 2]
-            + 5 * (n - 2) * out[n - 3]
-        )
-        out.append(_exact_div(num, 2 * (n + 1)))
-    return out
-
-
-def _seq_sqrt_quotient(n_max: int, k: int) -> list[int]:
+def _sqrt_quotient(order: int) -> TruncatedSeries:
     # (1-5x+(1+x)r) / (1-5x+(1-x)r) with r = sqrt(1-4x).
-    r = TruncatedSeries([1, -4], n_max).sqrt()
-    base = TruncatedSeries([1, -5], n_max)
-    num = base + TruncatedSeries([1, 1], n_max) * r
-    den = base + TruncatedSeries([1, -1], n_max) * r
-    return (num / den).integer_coefficients()
+    r = TruncatedSeries([1, -4], order).sqrt()
+    base = TruncatedSeries([1, -5], order)
+    num = base + TruncatedSeries([1, 1], order) * r
+    den = base + TruncatedSeries([1, -1], order) * r
+    return num / den
 
 
-def _seq_schroder_shift(n_max: int, k: int) -> list[int]:
-    # a(0) = 1 and a(n) is the (n-1)-st large Schroeder number.
-    s = _schroder(max(n_max - 1, 0))
-    return ([1] + s)[: n_max + 1]
+def _fixed_point(residual: _Residual, order: int) -> TruncatedSeries:
+    """The series A with A(0) = 1 and residual(A) = 0, by iterating
+    A -> A - residual(A); each pass settles one more coefficient when the
+    right side reads only lower orders of A."""
+    a = TruncatedSeries([1], order)
+    for _ in range(order + 1):
+        a = a - residual(a)
+    return a
 
 
-def _seq_fib_times_n(n_max: int, k: int) -> list[int]:
-    fib = _pattern_fib(max(n_max - 1, 1))
-    return [
-        math.factorial(n) if n < 2 else n * fib[n - 1] for n in range(n_max + 1)
-    ]
-
-
-def _seq_central_binomial(n_max: int, k: int) -> list[int]:
-    return [
-        1 if n == 0 else math.comb(2 * n - 2, n - 1) for n in range(n_max + 1)
-    ]
-
-
-def _seq_sixfold_difference(n_max: int, k: int) -> list[int]:
-    # a(n) = 6 (a(n-1) - a(n-2)) once n reaches 5.
-    out = [1, 1, 2, 6, 24][: n_max + 1]
-    for n in range(5, n_max + 1):
-        out.append(6 * (out[n - 1] - out[n - 2]))
-    return out
-
-
-def _seq_derivative_composition(n_max: int, k: int) -> list[int]:
-    # A(x) = x^2 B'(x) + x B(x) + 1 with B the bowtie POP's g.f.
-    b = from_rational([1, -3], [1, -4, 2], n_max + 1)
-    x = monomial(n_max)
-    a = x * x * b.derivative() + monomial(n_max + 1) * b + 1
-    return a.integer_coefficients()
-
-
-def _seq_chain_composition(n_max: int, k: int) -> list[int]:
-    # a(n) = (1/(n(n+1))) sum_i C(2i,i) C(n,i+1) C(n+1,i+1).
-    out = [1]
-    for n in range(1, n_max + 1):
-        total = sum(
-            math.comb(2 * i, i)
-            * math.comb(n, i + 1)
-            * math.comb(n + 1, i + 1)
-            for i in range(n)
-        )
-        out.append(_exact_div(total, n * (n + 1)))
-    return out
+# The bowtie POP's generating function B(x) = (1-3x)/(1-4x+2x^2), as
+# (numerator, denominator): thm-3.22 counts by it, and thm-4.5 composes it.
+_BOWTIE = ((1, -3), (1, -4, 2))
 
 
 # ----------------------------------------------------------------------
@@ -264,7 +159,7 @@ class TheoremEntry:
     notes: tuple[str, ...] = ()
     fixed_pop: Pop | None = None
     pop_factory: Callable[[int], Pop] | None = None
-    residual: Callable[[TruncatedSeries], TruncatedSeries] | None = None
+    residual: _Residual | None = None
 
     @property
     def family(self) -> bool:
@@ -394,7 +289,9 @@ _ALL_ENTRIES: tuple[TheoremEntry, ...] = (
         "thm-2.2",
         "closed-form",
         pop_factory=lambda k: Pop.from_relations(k, [(1, j) for j in range(2, k + 1)]),
-        builder=_family_top_above_rest,
+        builder=_closed_form(
+            None, lambda n, k: math.factorial(k - 1) * (k - 1) ** (n - k + 1)
+        ),
         notes=(
             "One label above all others: a(n) = (k-1)! (k-1)^(n-k+1) for "
             "n >= k.  The count does not depend on which label is the top "
@@ -407,7 +304,10 @@ _ALL_ENTRIES: tuple[TheoremEntry, ...] = (
         pop_factory=lambda k: Pop.from_relations(
             k, [(1, j) for j in range(2, k)] + [(k, j) for j in range(2, k)]
         ),
-        builder=_family_extreme_pair,
+        builder=_recurrence(
+            None,
+            lambda a, n, k: 2 * (k - 2) * a[n - 1] - (k - 2) * (k - 3) * a[n - 2],
+        ),
         notes=(
             "Labels 1 and k above all middle labels: "
             "a(n) = 2(k-2) a(n-1) - (k-2)(k-3) a(n-2) for n >= k.",
@@ -417,7 +317,7 @@ _ALL_ENTRIES: tuple[TheoremEntry, ...] = (
         "thm-2.4",
         "composition",
         pop_factory=lambda k: Pop.from_relations(k, [(1, 2)]),
-        builder=_family_isolated_run,
+        builder=_closed_form(None, lambda n, k: math.perm(n, k - 2)),
         notes=(
             "Isolated labels reduce to a shorter POP: with s of them "
             "stacked at the extremes, a(n) = n!/(n-s)! b(n-s) where b "
@@ -430,7 +330,7 @@ _ALL_ENTRIES: tuple[TheoremEntry, ...] = (
         "thm-2.5",
         "composition",
         pop_factory=lambda k: Pop.from_relations(k, [(1, 3)]),
-        builder=_family_gap_tail,
+        builder=_closed_form(None, lambda n, k: math.perm(n, k - 3) * _fib(n - k + 3)),
         notes=(_FIB_NOTE,),
     ),
     TheoremEntry(
@@ -459,7 +359,7 @@ _ALL_ENTRIES: tuple[TheoremEntry, ...] = (
         "thm-3.2",
         "closed-form",
         fixed_pop=parse_pop("k=4; 1>2, 4>3"),
-        builder=_closed_form(1, lambda n: (n - 2) * 2 ** (n - 1) + 2),
+        builder=_closed_form(1, lambda n, k: (n - 2) * 2 ** (n - 1) + 2),
     ),
     TheoremEntry(
         "thm-3.3",
@@ -471,13 +371,13 @@ _ALL_ENTRIES: tuple[TheoremEntry, ...] = (
         "thm-3.4",
         "closed-form",
         fixed_pop=parse_pop("k=4; 1>2, 1>3, 1>4"),
-        builder=_closed_form(2, lambda n: 2 * 3 ** (n - 2)),
+        builder=_closed_form(2, lambda n, k: 2 * 3 ** (n - 2)),
     ),
     TheoremEntry(
         "thm-3.5",
         "closed-form",
         fixed_pop=parse_pop("k=4; 1>2, 1>3"),
-        builder=_closed_form(2, lambda n: n * 2 ** (n - 2)),
+        builder=_closed_form(2, lambda n, k: n * 2 ** (n - 2)),
     ),
     TheoremEntry(
         "thm-3.6",
@@ -521,14 +421,16 @@ _ALL_ENTRIES: tuple[TheoremEntry, ...] = (
         "thm-3.10",
         "closed-form",
         fixed_pop=parse_pop("k=4; 1>2, 1>3, 4>3"),
-        builder=_seq_powers_plus_linear,
+        builder=_closed_form(1, lambda n, k: _exact_div(3**n - 2 * n + 3, 4)),
         notes=("The division in (3^n - 2n + 3)/4 is exact for every n >= 1.",),
     ),
     TheoremEntry(
         "thm-3.11",
         "binomial-sum",
         fixed_pop=parse_pop("k=4; 1>2, 1>3, 4>2"),
-        builder=_seq_three_step_binomial,
+        builder=_closed_form(
+            1, lambda n, k: sum(math.comb(n + 2 * i - 1, 3 * i) for i in range(n))
+        ),
         notes=(
             "The recurrence a(n) = 4a(n-1) - 3a(n-2) + a(n-3) needs "
             "n >= 3; at n = 2 it would reference a(-1).",
@@ -538,19 +440,28 @@ _ALL_ENTRIES: tuple[TheoremEntry, ...] = (
         "thm-3.12",
         "binomial-sum",
         fixed_pop=parse_pop("k=4; 1>2, 4>1"),
-        builder=_seq_catalan_convolution,
+        builder=_closed_form(
+            1,
+            lambda n, k: _exact_div(
+                sum(
+                    math.comb(n - j - 1, j) * math.comb(2 * n - 2 * j, n)
+                    for j in range(n)
+                ),
+                n + 1,
+            ),
+        ),
     ),
     TheoremEntry(
         "thm-3.13",
         "algebraic-gf",
         fixed_pop=parse_pop("k=4; 1>3, 1>4, 3>2"),
-        builder=_seq_sqrt_quotient,
+        builder=_series(_sqrt_quotient),
     ),
     TheoremEntry(
         "thm-3.14",
         "algebraic-gf",
         fixed_pop=parse_pop("k=4; 1>3, 1>4, 4>2"),
-        builder=_seq_nested_fraction_gf,
+        builder=_series(lambda order: _fixed_point(residual_thm314, order)),
         residual=residual_thm314,
         notes=(
             "The generating function satisfies A = 1 + xA/(1 - xA^2); "
@@ -564,7 +475,15 @@ _ALL_ENTRIES: tuple[TheoremEntry, ...] = (
         "thm-3.15",
         "linear-recurrence",
         fixed_pop=parse_pop("k=4; 1>2, 3>1, 3>4"),
-        builder=_seq_exact_division_recurrence,
+        builder=_recurrence(
+            3,
+            lambda a, n, k: _exact_div(
+                (13 * n - 5) * a[n - 1]
+                - (16 * n - 23) * a[n - 2]
+                + 5 * (n - 2) * a[n - 3],
+                2 * (n + 1),
+            ),
+        ),
         notes=(
             "The division by 2(n+1) in the three-term recurrence is exact "
             "for every n >= 3 and asserted at run time.  Equivalent "
@@ -595,7 +514,7 @@ _ALL_ENTRIES: tuple[TheoremEntry, ...] = (
         "thm-3.18",
         "linear-recurrence",
         fixed_pop=parse_pop("k=4; 1>2, 3>1, 4>1"),
-        builder=_seq_schroder_shift,
+        builder=_closed_form(1, lambda n, k: _schroder(n - 1)[-1]),
         notes=(
             "a(n) is the (n-1)-st large Schroeder number for n >= 1, and "
             "a(0) = 1 since the empty permutation avoids everything; the "
@@ -607,13 +526,13 @@ _ALL_ENTRIES: tuple[TheoremEntry, ...] = (
         "thm-3.19",
         "closed-form",
         fixed_pop=parse_pop("k=4; 1>2"),
-        builder=_closed_form(2, lambda n: n * (n - 1)),
+        builder=_closed_form(2, lambda n, k: n * (n - 1)),
     ),
     TheoremEntry(
         "thm-3.20",
         "composition",
         fixed_pop=parse_pop("k=4; 1>3"),
-        builder=_seq_fib_times_n,
+        builder=_closed_form(2, lambda n, k: n * _fib(n - 1)),
         notes=(_FIB_NOTE,),
     ),
     TheoremEntry(
@@ -627,14 +546,14 @@ _ALL_ENTRIES: tuple[TheoremEntry, ...] = (
         "thm-3.22",
         "rational-gf",
         fixed_pop=parse_pop("k=4; 1>2, 1>3, 4>2, 4>3"),
-        builder=_rational_gf([1, -3], [1, -4, 2]),
+        builder=_rational_gf(*_BOWTIE),
         notes=("Equivalent recurrence: a(n) = 4a(n-1) - 2a(n-2) for n >= 2.",),
     ),
     TheoremEntry(
         "thm-3.23",
         "closed-form",
         fixed_pop=parse_pop("k=4; 1>2, 3>1"),
-        builder=_seq_central_binomial,
+        builder=_closed_form(1, lambda n, k: math.comb(2 * n - 2, n - 1)),
         notes=("a(n) is the central binomial coefficient C(2n-2, n-1).",),
     ),
     TheoremEntry(
@@ -651,25 +570,31 @@ _ALL_ENTRIES: tuple[TheoremEntry, ...] = (
         "thm-4.2",
         "closed-form",
         fixed_pop=parse_pop("k=5; 1>2"),
-        builder=_closed_form(3, lambda n: n * (n - 1) * (n - 2)),
+        builder=_closed_form(3, lambda n, k: n * (n - 1) * (n - 2)),
     ),
     TheoremEntry(
         "thm-4.3",
         "closed-form",
         fixed_pop=parse_pop("k=5; 1>2, 1>3, 1>4, 1>5"),
-        builder=_closed_form(3, lambda n: 6 * 4 ** (n - 3)),
+        builder=_closed_form(3, lambda n, k: 6 * 4 ** (n - 3)),
     ),
     TheoremEntry(
         "thm-4.4",
         "linear-recurrence",
         fixed_pop=parse_pop("k=5; 1>2, 1>3, 1>4, 5>2, 5>3, 5>4"),
-        builder=_seq_sixfold_difference,
+        builder=_recurrence(5, lambda a, n, k: 6 * (a[n - 1] - a[n - 2])),
     ),
     TheoremEntry(
         "thm-4.5",
         "composition",
         fixed_pop=parse_pop("k=5; 1>2, 1>3, 4>2, 4>3"),
-        builder=_seq_derivative_composition,
+        builder=_series(
+            lambda order: (
+                monomial(order) ** 2 * from_rational(*_BOWTIE, order + 1).derivative()
+                + monomial(order + 1) * from_rational(*_BOWTIE, order + 1)
+                + 1
+            )
+        ),
         notes=(
             "A(x) = x^2 B'(x) + x B(x) + 1, where B is the generating "
             "function of the k = 4 bowtie entry thm-3.22; equivalently "
@@ -680,7 +605,16 @@ _ALL_ENTRIES: tuple[TheoremEntry, ...] = (
         "thm-4.6",
         "binomial-sum",
         fixed_pop=parse_pop("k=5; 1>2, 2>3, 3>4"),
-        builder=_seq_chain_composition,
+        builder=_closed_form(
+            1,
+            lambda n, k: _exact_div(
+                sum(
+                    math.comb(2 * i, i) * math.comb(n, i + 1) * math.comb(n + 1, i + 1)
+                    for i in range(n)
+                ),
+                n * (n + 1),
+            ),
+        ),
         notes=(
             "Each summand uses the central binomial C(2i, i); the division "
             "by n(n+1) is exact and asserted at run time.",
@@ -827,14 +761,14 @@ def verify_theorem(theorem_id: str, n_max: int = 8, *, k: int | None = None) -> 
     """Recompute an entry by brute force and compare with its formula.
 
     For entries without a formula the catalogued prefix is the
-    reference, and the check range is capped at its length.
+    reference, and the check range is capped at its length.  An n_max
+    past the counting ceiling is refused before anything is computed.
     """
+    _check_length(n_max, DEFAULT_CEILING)
     entry = get_theorem(theorem_id)
     k_eff = entry.resolve_k(k)
     pop, stored = entry.pop(k_eff), entry.prefix(k_eff)
     if entry.has_formula:
-        # Count first, so that the engine's ceiling refuses an oversized n
-        # before a reference builder (the cycle-interval filter) starts.
         brute = count_avoiders_prefix(pop, n_max).counts
         rows = _verify_rows(entry.sequence(n_max, k_eff), brute)
     else:
@@ -916,7 +850,9 @@ class ConjectureReport:
 
 def check_conjecture(a_number: str, n_max: int = 8) -> ConjectureReport:
     """Brute-force the conjecture with this A-number.  The result can
-    only ever support it over the computed range, not prove it."""
+    only ever support it over the computed range, not prove it.  An
+    n_max past the counting ceiling is refused, as in ``verify_theorem``."""
+    _check_length(n_max, DEFAULT_CEILING)
     for text in CONJECTURES:
         if a_number in STORED_COUNTS[text][0]:
             break

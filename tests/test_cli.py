@@ -227,6 +227,17 @@ def test_verify_past_ceiling_is_usage_error(capsys):
     assert "larger ceiling" not in err
 
 
+@pytest.mark.parametrize(
+    "argv", [["verify", "thm-3.17", "--nmax", "11"], ["conjectures", "--nmax", "11"]]
+)
+def test_stored_prefix_checks_past_ceiling_are_usage_errors(capsys, argv):
+    # Checks against stored terms stop at the ceiling, not at the terms' end.
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "ceiling 10" in captured.err
+
+
 def test_verify_past_cycle_filter_ceiling_is_usage_error(capsys):
     # The bijection's S_n filter stops at the engine's ceiling, n = 10.
     assert main(["verify", "thm-2.6", "--nmax", "11"]) == 2

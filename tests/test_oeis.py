@@ -494,6 +494,18 @@ def test_match_prefers_smaller_drop_at_a_later_shift():
     assert [(m.shift, m.dropped, m.overlap) for m in matches] == [(1, 0, 9)]
 
 
+def test_match_query_term_past_int_digit_cap_matches_nothing():
+    # No stored term may pass the int-string cap, so a window ending in
+    # such a term matches no row; the rest of the query still can.
+    huge = 10**5000
+    db = db_from({"A000001": (1, 2, 3, 4, 5, 6, 7)})
+    assert match_sequence(db, [1, 2, 3, 4, 5, 6, huge]) == []
+    matches = match_sequence(db, [huge, 1, 2, 3, 4, 5, 6, 7], min_overlap=1)
+    assert [(m.a_number, m.shift, m.dropped, m.overlap) for m in matches] == [
+        ("A000001", 0, 1, 7)
+    ]
+
+
 def test_match_sequences_empty_batch():
     db = load_stripped(bundled_path())
     assert match_sequences(db, []) == []

@@ -3,7 +3,7 @@ from __future__ import annotations
 import pytest
 
 import poplab.theorems as theorems
-from poplab.counting import DEFAULT_CEILING, CeilingExceeded
+from poplab.counting import DEFAULT_CEILING, CeilingExceeded, count_avoiders_prefix
 from poplab.posets import parse_pop
 from poplab.theorems import (
     CONJECTURES,
@@ -47,6 +47,28 @@ def test_cycle_interval_reference_refuses_past_its_ceiling_at_once(monkeypatch):
     with pytest.raises(CeilingExceeded) as info:
         theorem_sequence("thm-2.6", 11)
     assert info.value.ceiling == DEFAULT_CEILING
+
+
+def test_stored_prefix_checks_refuse_past_the_ceiling_before_counting(monkeypatch):
+    def no_count(*args, **kwargs):
+        raise AssertionError("counted before the ceiling check")
+
+    monkeypatch.setattr(theorems, "count_avoiders_prefix", no_count)
+    for theorem_id in ("thm-3.16", "thm-3.17", "thm-3.21"):
+        with pytest.raises(CeilingExceeded):
+            verify_theorem(theorem_id, DEFAULT_CEILING + 1)
+    with pytest.raises(CeilingExceeded):
+        check_conjecture("A216879", DEFAULT_CEILING + 1)
+
+
+@pytest.mark.parametrize("theorem_id", [f"thm-2.{i}" for i in range(2, 7)])
+def test_family_formulas_at_lengths_not_catalogued(theorem_id):
+    # FAMILY_KS checks only k = 4 and 5; these lengths exercise the
+    # formulas' dependence on k.
+    entry = get_theorem(theorem_id)
+    for k in (3, 6, 7):
+        brute = count_avoiders_prefix(entry.pop(k), 9).counts
+        assert tuple(theorem_sequence(theorem_id, 9, k=k)) == brute, k
 
 
 def test_family_entries_register_two_lengths():

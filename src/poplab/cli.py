@@ -9,13 +9,16 @@ Subcommands:
 
 Exit codes: 0 success, 1 a verification or conjecture mismatch or an
 entry or conjecture with no evidence (n below k), 2 usage error
-(including a count past the ceiling), 3 I/O error.
+(including a count past the ceiling), 3 I/O error, 141 stdout closed by
+its reader before the output was written (128 + SIGPIPE, as a shell
+reports for a writer that the signal stopped).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from functools import partial
 from pathlib import Path
@@ -293,7 +296,17 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()  # so that a closed stdout fails here, not at exit
+        return status
+    except BrokenPipeError:
+        # The reader closed stdout early.  Point stdout at devnull so the
+        # interpreter's final flush writes nothing, and exit as a shell
+        # reports a writer stopped by SIGPIPE.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
     except (OeisError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

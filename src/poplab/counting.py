@@ -30,7 +30,7 @@ import math
 import os
 from dataclasses import dataclass
 from functools import partial
-from itertools import permutations
+from itertools import combinations, permutations
 from typing import Callable, Iterator, Sequence
 
 from .perms import Permutation, _compiled_keep
@@ -231,70 +231,44 @@ def count_avoiders(
     return count_avoiders_prefix(pop, n, ceiling=ceiling, jobs=jobs).counts[n]
 
 
-def _pattern_ends_at_last(prefix: Sequence[int], pat: tuple[int, ...]) -> bool:
-    """Does an occurrence of the classical pattern end at the last position?
-
-    Kept independent of the POP machinery on purpose: it compares
-    candidate values through the pattern's ranks, so the two engines can
-    cross-check each other.
-    """
-    k = len(pat)
-    m = len(prefix)
-    if m < k:
-        return False
-    last_val = prefix[m - 1]
-    last_rank = pat[k - 1]
-    chosen: list[int] = []
-
-    def extend(slot: int, start: int) -> bool:
-        for pos in range(start, m - k + slot + 1):
-            v = prefix[pos]
-            if (v < last_val) != (pat[slot] < last_rank):
-                continue
-            if any((v > c) != (pat[slot] > pat[i]) for i, c in enumerate(chosen)):
-                continue
-            if slot == k - 2:
-                return True
-            chosen.append(v)
-            if extend(slot + 1, pos + 1):
-                return True
-            chosen.pop()
-        return False
-
-    if k == 1:
-        return True
-    return extend(0, 0)
-
-
 def count_avoiders_pattern_set(
     patterns: Sequence[Permutation], n: int, *, ceiling: int = DEFAULT_CEILING
 ) -> int:
     """Avoiders of a plain set of classical patterns.
 
     Feeding this the linear extensions of a POP must reproduce
-    ``count_avoiders`` for that POP.
+    ``count_avoiders`` for that POP, so it is an oracle for the engine
+    and shares none of its parts: no compiled matcher, live mask, POP or
+    generating tree.  An occurrence of a pattern p in a permutation of
+    1..n is a value tuple that p's ranks pick out of some len(p)-subset
+    of 1..n; those tuples are listed once, and each avoider is built
+    value by value, refusing a value v when ``(*sub, v)`` is one of them
+    for some subset ``sub`` of the values before it.
     """
     _check_length(n, ceiling)
-    if n == 0:
-        return 1
-    pats = tuple(tuple(p) for p in patterns)
+    pats = [tuple(p) for p in patterns]
+    if () in pats:
+        return 0  # the empty pattern occurs in every permutation
+    occurrences = {
+        tuple(c[r - 1] for r in p)
+        for p in pats
+        for c in combinations(range(1, n + 1), len(p))
+    }
+    sizes = {len(p) - 1 for p in pats}
 
-    def completions(prefix: list[int], used: list[bool]) -> int:
+    def completions(prefix: tuple[int, ...]) -> int:
         if len(prefix) == n:
             return 1
-        total = 0
-        for v in range(1, n + 1):
-            if used[v]:
-                continue
-            prefix.append(v)
-            if not any(_pattern_ends_at_last(prefix, pat) for pat in pats):
-                used[v] = True
-                total += completions(prefix, used)
-                used[v] = False
-            prefix.pop()
-        return total
+        return sum(
+            completions((*prefix, v))
+            for v in range(1, n + 1)
+            if v not in prefix
+            and not any(
+                (*sub, v) in occurrences for size in sizes for sub in combinations(prefix, size)
+            )
+        )
 
-    return completions([], [False] * (n + 1))
+    return completions(())
 
 
 def count_cycle_interval_perms(

@@ -10,6 +10,7 @@ Conventions:
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import combinations
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
 if TYPE_CHECKING:
@@ -146,30 +147,15 @@ class Permutation:
     # Containment
 
     def contains_pattern(self, pattern: "Permutation | Sequence[int]") -> bool:
-        """True when some subsequence is order-isomorphic to ``pattern``."""
-        pat = tuple(pattern)
-        k = len(pat)
-        m = len(self._values)
-        if k == 0:
-            return True
-        if k > m:
-            return False
-        vals = self._values
-        chosen: list[int] = []
+        """True when some subsequence is order-isomorphic to ``pattern``.
 
-        def extend(slot: int, start: int) -> bool:
-            for pos in range(start, m - (k - slot) + 1):
-                v = vals[pos]
-                if all((v > c) == (pat[slot] > pat[i]) for i, c in enumerate(chosen)):
-                    if slot == k - 1:
-                        return True
-                    chosen.append(v)
-                    if extend(slot + 1, pos + 1):
-                        return True
-                    chosen.pop()
-            return False
-
-        return extend(0, 0)
+        Raises ``ValueError`` when ``pattern`` repeats a value, as
+        ``standardize`` does.
+        """
+        target = standardize(pattern)
+        return any(
+            standardize(sub) == target for sub in combinations(self._values, len(target))
+        )
 
     def contains_pop(self, pop: "Pop") -> bool:
         """True when some subsequence realizes the partial order ``pop``.

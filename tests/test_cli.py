@@ -267,6 +267,28 @@ def test_unwritable_out_is_io_error(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_closed_stdout_exits_141_quietly(tmp_path, monkeypatch, capsys):
+    # A reader such as `head -1` has closed the pipe.  The stub's descriptor is
+    # a scratch file's, so pointing it at devnull leaves the test's stdout alone.
+    with open(tmp_path / "stdout", "wb") as target:
+
+        class ClosedPipe:
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+            def flush(self):
+                pass
+
+            def fileno(self):
+                return target.fileno()
+
+        monkeypatch.setattr(sys, "stdout", ClosedPipe())
+        assert main(["expand", "k=3;"]) == 141
+        os.write(target.fileno(), b"dropped")
+    assert capsys.readouterr().err == ""
+    assert (tmp_path / "stdout").read_bytes() == b""
+
+
 # ----------------------------------------------------------------------
 # conjectures
 

@@ -7,6 +7,7 @@ import random
 
 import pytest
 
+import poplab.counting as counting
 from poplab.counting import (
     SPLIT_DEPTH,
     CeilingExceeded,
@@ -59,6 +60,34 @@ def test_pruned_counter_matches_pattern_set_counter(pop_text):
     patterns = linear_extensions(pop)
     for n in range(0, 7):
         assert count_avoiders(pop, n) == count_avoiders_pattern_set(patterns, n)
+
+
+@pytest.mark.parametrize(
+    "patterns, counts",
+    [
+        # The empty pattern occurs in every permutation, the empty one too.
+        ([""], [0, 0, 0, 0]),
+        # Patterns of two lengths: only the decreasing permutations avoid
+        # 12, and 321 leaves none of length 3 or more.
+        (["12", "321"], [1, 1, 1, 0, 0]),
+    ],
+    ids=["empty", "mixed_lengths"],
+)
+def test_pattern_set_counter_known_values(patterns, counts):
+    perms = [Permutation.from_text(p) for p in patterns]
+    assert [count_avoiders_pattern_set(perms, n) for n in range(len(counts))] == counts
+
+
+def test_pattern_set_counter_uses_no_engine_part(monkeypatch):
+    # The oracle must stand apart from the engine it checks.
+    def engine_part(*args, **kwargs):
+        raise AssertionError("the pattern-set counter called the engine")
+
+    for name in ("_compiled_keep", "_subtree_counts", "_children"):
+        monkeypatch.setattr(counting, name, engine_part)
+    patterns = [Permutation.from_text(t) for t in ("2431", "4231", "4321")]
+    counts = [count_avoiders_pattern_set(patterns, n) for n in range(1, 9)]
+    assert counts == [1, 2, 6, 21, 79, 311, 1265, 5275]
 
 
 def test_symmetries_preserve_counts_on_sampled_length5_pops():

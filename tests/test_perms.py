@@ -148,6 +148,14 @@ def test_contains_pattern():
     assert perm.contains_pattern(Permutation((2, 1)))
     assert not perm.contains_pattern((3, 2, 1))
     assert not perm.contains_pattern((1, 2, 3, 4))
+    assert perm.contains_pattern(())
+    assert Permutation(()).contains_pattern(())
+
+
+def test_contains_pattern_refuses_repeated_values():
+    # 31 is a descent, but (1, 1) is no pattern: standardize refuses it too.
+    with pytest.raises(ValueError, match="not distinct"):
+        Permutation.from_text("312").contains_pattern((1, 1))
 
 
 def test_pop_occurrence_count_in_41523():

@@ -24,22 +24,13 @@ from functools import partial
 from pathlib import Path
 
 from .counting import (
-    CeilingExceeded,
     DEFAULT_CEILING,
     _check_length,
     _pool_map,
     count_avoiders,
     count_avoiders_prefix,
 )
-from .oeis import (
-    DEFAULT_MIN_OVERLAP,
-    OeisDb,
-    OeisError,
-    match_sequences,
-    resolve_db,
-)
 from .posets import (
-    PopError,
     canonical_class,
     enumerate_pops,
     linear_extensions,
@@ -183,8 +174,11 @@ def scan_pops(
     distinct = sorted(set(all_counts))
     class_index = {counts: i + 1 for i, counts in enumerate(distinct)}
     all_matches = [[] for _ in all_counts]
-    if db is not None and n_max >= DEFAULT_MIN_OVERLAP:
-        all_matches = match_sequences(db, [counts[1:] for counts in all_counts])
+    if db is not None:
+        from .oeis import DEFAULT_MIN_OVERLAP, match_sequences
+
+        if n_max >= DEFAULT_MIN_OVERLAP:
+            all_matches = match_sequences(db, [counts[1:] for counts in all_counts])
     entries = []
     for code, rep, counts, matches in zip(codes, reps, all_counts, all_matches):
         members = sorted(p.to_text() for p in orbits[code])
@@ -226,6 +220,8 @@ def scan_pops(
 
 
 def cmd_scan(args: argparse.Namespace) -> int:
+    from .oeis import resolve_db
+
     jobs = _jobs_arg(args)
     db = resolve_db(args.oeis)
     result = scan_pops(args.length, args.nmax, db=db, jobs=jobs)
@@ -307,12 +303,14 @@ def main(argv: list[str] | None = None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return 141
-    except (OeisError, OSError) as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (CeilingExceeded, PopError, ValueError) as exc:
+    except ValueError as exc:  # CeilingExceeded, PopError and OeisError among them
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        # Only scan imports poplab.oeis, so only scan can raise its OeisError.
+        oeis = sys.modules.get("poplab.oeis")
+        return 3 if oeis is not None and isinstance(exc, oeis.OeisError) else 2
 
 
 if __name__ == "__main__":

@@ -28,15 +28,16 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
 from functools import partial
 from itertools import combinations, permutations
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .perms import Permutation, _compiled_keep
 from .posets import Pop
 
 DEFAULT_CEILING = 10
+# The walk recurses once per length, so no ceiling may let n pass this.
+MAX_LENGTH = 500
 # Depth of the subtrees that a parallel count hands to its workers.
 SPLIT_DEPTH = 4
 
@@ -55,15 +56,20 @@ class CeilingExceeded(ValueError):
 
 
 def _check_length(n: int, ceiling: int) -> None:
-    """Refuse a negative length, and one past an exhaustive count's ceiling."""
+    """Refuse a negative length, one past ``MAX_LENGTH`` whatever the
+    ceiling, and one past an exhaustive count's ceiling."""
     if n < 0:
         raise ValueError(f"length must be nonnegative, got {n}")
+    if n > MAX_LENGTH:
+        raise ValueError(
+            f"refusing to count at n={n}: lengths above {MAX_LENGTH} are refused "
+            "whatever the ceiling, as the tree walk recurses once per length"
+        )
     if n > ceiling:
         raise CeilingExceeded(n, ceiling)
 
 
-@dataclass(frozen=True)
-class CountSequence:
+class CountSequence(NamedTuple):
     """Avoidance counts ``counts[n]`` for n = 0..n_max of one POP."""
 
     pop: Pop

@@ -16,10 +16,9 @@ import re
 import sys
 import warnings
 from contextlib import suppress
-from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 ENV_VAR = "POPLAB_OEIS"
 DEFAULT_MIN_OVERLAP = 7
@@ -34,8 +33,7 @@ class OeisFormatWarning(UserWarning):
     """Emitted when a stray non-sequence line is skipped."""
 
 
-@dataclass(frozen=True)
-class Match:
+class Match(NamedTuple):
     """An alignment of computed terms with a stored sequence.
 
     ``shift`` is the index into the stored sequence where the aligned

@@ -20,8 +20,7 @@ reported as supported up to the computed range, never as proved.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .counting import DEFAULT_CEILING, _check_length, count_avoiders_prefix
 from .counting import count_cycle_interval_perms
@@ -140,8 +139,7 @@ _BOWTIE = ((1, -3), (1, -4, 2))
 FAMILY_KS = (4, 5)
 
 
-@dataclass(frozen=True)
-class TheoremEntry:
+class TheoremEntry(NamedTuple):
     """One catalogued counting result.
 
     A single result holds its POP as ``fixed_pop``; a family holds a
@@ -646,8 +644,7 @@ def theorem_sequence(theorem_id: str, n_max: int, *, k: int | None = None) -> li
 # Verification
 
 
-@dataclass(frozen=True)
-class VerifyRow:
+class VerifyRow(NamedTuple):
     n: int
     formula_value: int
     brute_value: int
@@ -671,17 +668,7 @@ def _verify_rows(
     )
 
 
-def _against_prefix(
-    pop: Pop, stored: Sequence[int], n_max: int
-) -> tuple[VerifyRow, ...]:
-    """Brute-force ``pop`` to n_max or to the end of its stored terms
-    (from n = 1), whichever comes first, and compare with those terms."""
-    n_eff = min(n_max, len(stored))
-    return _verify_rows([1, *stored[:n_eff]], count_avoiders_prefix(pop, n_eff).counts)
-
-
-@dataclass(frozen=True)
-class Report:
+class Report(NamedTuple):
     """Outcome of checking one entry against brute force."""
 
     theorem_id: str
@@ -757,22 +744,20 @@ class Report:
         return "\n".join(lines)
 
 
-def verify_theorem(theorem_id: str, n_max: int = 8, *, k: int | None = None) -> Report:
-    """Recompute an entry by brute force and compare with its formula.
+def _brute_length(entry: TheoremEntry, k: int, n_max: int) -> int:
+    """The length the check of ``entry`` at k counts to: n_max, or the
+    end of the stored terms (from n = 1) if the entry has no formula."""
+    return n_max if entry.has_formula else min(n_max, len(entry.prefix(k)))
 
-    For entries without a formula the catalogued prefix is the
-    reference, and the check range is capped at its length.  An n_max
-    past the counting ceiling is refused before anything is computed.
-    """
-    _check_length(n_max, DEFAULT_CEILING)
-    entry = get_theorem(theorem_id)
-    k_eff = entry.resolve_k(k)
-    pop, stored = entry.pop(k_eff), entry.prefix(k_eff)
+
+def _report(entry: TheoremEntry, k: int, brute: Sequence[int]) -> Report:
+    """Compare the brute-force counts a(0)..a(n) of ``entry`` at length k
+    with its formula, or with its stored terms if it has no formula."""
+    stored = entry.prefix(k)
     if entry.has_formula:
-        brute = count_avoiders_prefix(pop, n_max).counts
-        rows = _verify_rows(entry.sequence(n_max, k_eff), brute)
+        rows = _verify_rows(entry.sequence(len(brute) - 1, k), brute)
     else:
-        rows = _against_prefix(pop, stored, n_max)
+        rows = _verify_rows([1, *stored], brute)
     # None when nothing is catalogued for this POP, so nothing was compared.
     prefix_consistent = (
         all(r.formula_value == s for r, s in zip(rows[1:], stored)) if stored else None
@@ -784,7 +769,7 @@ def verify_theorem(theorem_id: str, n_max: int = 8, *, k: int | None = None) -> 
     return Report(
         theorem_id=entry.id,
         method=entry.method,
-        k=k_eff,
+        k=k,
         rows=rows,
         prefix_consistent=prefix_consistent,
         residual_zero=residual_zero,
@@ -792,21 +777,45 @@ def verify_theorem(theorem_id: str, n_max: int = 8, *, k: int | None = None) -> 
     )
 
 
+def verify_theorem(theorem_id: str, n_max: int = 8, *, k: int | None = None) -> Report:
+    """Recompute an entry by brute force and compare with its formula.
+
+    For entries without a formula the catalogued prefix is the
+    reference, and the check range is capped at its length.  An n_max
+    past the counting ceiling is refused before anything is computed.
+    """
+    _check_length(n_max, DEFAULT_CEILING)
+    entry = get_theorem(theorem_id)
+    k_eff = entry.resolve_k(k)
+    brute = count_avoiders_prefix(entry.pop(k_eff), _brute_length(entry, k_eff, n_max))
+    return _report(entry, k_eff, brute.counts)
+
+
 def verify_all(n_max: int = 8) -> list[Report]:
-    """Verify every entry at each of its registered lengths."""
-    return [
-        verify_theorem(theorem_id, n_max, k=k)
-        for theorem_id in all_theorem_ids()
-        for k in THEOREMS[theorem_id].registered_ks()
+    """Verify every entry at each of its registered lengths.
+
+    Entries that share a POP share one count of it, to the longest
+    length any of their checks reaches, and each report reads its own
+    prefix of those counts; the counts are not kept after the call.
+    """
+    _check_length(n_max, DEFAULT_CEILING)
+    checks = [
+        (entry, k, entry.pop(k), _brute_length(entry, k, n_max))
+        for entry in THEOREMS.values()
+        for k in entry.registered_ks()
     ]
+    lengths: dict[Pop, int] = {}
+    for _, _, pop, n in checks:
+        lengths[pop] = max(lengths.get(pop, 0), n)
+    counts = {pop: count_avoiders_prefix(pop, n).counts for pop, n in lengths.items()}
+    return [_report(entry, k, counts[pop][: n + 1]) for entry, k, pop, n in checks]
 
 
 # ----------------------------------------------------------------------
 # Conjectured identifications
 
 
-@dataclass(frozen=True)
-class ConjectureReport:
+class ConjectureReport(NamedTuple):
     a_number: str
     pop_text: str
     k: int
@@ -858,10 +867,9 @@ def check_conjecture(a_number: str, n_max: int = 8) -> ConjectureReport:
             break
     else:
         raise ValueError(f"unknown conjecture {a_number!r}")
-    pop = parse_pop(text)
-    return ConjectureReport(
-        a_number, text, pop.k, _against_prefix(pop, STORED_COUNTS[text][1], n_max)
-    )
+    pop, stored = parse_pop(text), STORED_COUNTS[text][1]
+    brute = count_avoiders_prefix(pop, min(n_max, len(stored))).counts
+    return ConjectureReport(a_number, text, pop.k, _verify_rows([1, *stored], brute))
 
 
 def check_all_conjectures(n_max: int = 8) -> list[ConjectureReport]:

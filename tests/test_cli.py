@@ -114,6 +114,19 @@ def test_count_past_matcher_label_limit_is_usage_error(capsys):
     assert captured.err.startswith("error:") and "at most 21 labels" in captured.err
 
 
+@pytest.mark.parametrize(
+    "length_args", [["--n", "1500"], ["--nmax", "1500", "--jobs", "2"]], ids=["n", "nmax-jobs-2"]
+)
+def test_count_past_the_length_bound_is_usage_error(capsys, length_args):
+    # The tree walk recurses once per length; a high ceiling must not let
+    # it reach the interpreter's recursion limit.
+    assert main(["count", "k=2; 1>2", *length_args, "--ceiling", "2000"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: refusing to count at n=1500")
+    assert "above 500" in captured.err
+
+
 def test_count_nmax_passes_jobs_on(monkeypatch, capsys):
     seen = []
     real = cli.count_avoiders_prefix
@@ -320,22 +333,19 @@ def test_conjectures_below_k_report_no_evidence(capsys, nmax):
 
 
 def test_conjecture_mismatch_gives_exit_one(monkeypatch, capsys):
-    real = theorems.check_all_conjectures(4)
-    rows = [r._replace(match=False) if hasattr(r, "_replace") else r for r in real[0].rows]
-
-    class Failing:
-        supported = False
-
-        def to_text(self):
-            return "A000000  k=5;  MISMATCH at n = 4"
-
-        def to_json(self):
-            return {"schema": 1, "a_number": "A000000", "supported": False}
-
-    monkeypatch.setattr(theorems, "check_all_conjectures", lambda n: [Failing()])
-    assert main(["conjectures", "--nmax", "4"]) == 1
-    assert "MISMATCH" in capsys.readouterr().out
-    assert rows is not None
+    real = theorems.check_all_conjectures(6)[0]
+    rows = list(real.rows)
+    rows[5] = rows[5]._replace(formula_value=rows[5].brute_value + 1, match=False)
+    failing = real._replace(rows=tuple(rows))
+    assert failing.status == "MISMATCH at n = 5"
+    assert failing.supported is False
+    monkeypatch.setattr(theorems, "check_all_conjectures", lambda n: [failing])
+    assert main(["conjectures", "--nmax", "6"]) == 1
+    out = capsys.readouterr().out
+    assert out == f"conjecture {real.a_number}  {real.pop_text}  MISMATCH at n = 5\n"
+    assert main(["conjectures", "--nmax", "6", "--json"]) == 1
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["conjectures"][0]["status"] == "MISMATCH at n = 5"
 
 
 # ----------------------------------------------------------------------

@@ -2,9 +2,11 @@
 
 ``import poplab`` loads no submodule, and a command loads only what it
 runs: ``count`` and ``scan`` do not load the catalogue (``theorems``,
-``series``). No command loads ``concurrent.futures`` or
+``series``), and only ``scan`` loads the sequence database
+(``poplab.oeis``). No command loads ``concurrent.futures`` or
 ``multiprocessing``, with any number of jobs: the pool forks its workers
-itself.
+itself. No command loads ``dataclasses`` or ``inspect``: the records are
+``NamedTuple`` classes.
 """
 
 from __future__ import annotations
@@ -79,6 +81,33 @@ def test_verify_loads_no_pool():
         assert "poplab.theorems" in sys.modules
         assert "concurrent.futures" not in sys.modules
         assert "multiprocessing" not in sys.modules
+        """
+    )
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["expand", "k=4; 1>2, 1>3"],
+        ["count", "k=3; 1>3", "--nmax", "6"],
+        ["count", "k=4; 3>1, 1>2, 3>4", "--n", "9", "--jobs", "2"],
+        ["scan", "--length", "3", "--nmax", "7"],
+        ["verify", "all", "--nmax", "5"],
+        ["conjectures", "--nmax", "5"],
+    ],
+    ids=["expand", "count", "count-jobs-2", "scan", "verify", "conjectures"],
+)
+def test_command_loads_no_dataclasses_and_only_scan_loads_oeis(argv):
+    run_fresh(
+        f"""
+        import contextlib, io, sys
+        import poplab.cli
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = poplab.cli.main({argv!r})
+        assert code == 0
+        loaded = [m for m in ("dataclasses", "inspect") if m in sys.modules]
+        assert not loaded, loaded
+        assert ("poplab.oeis" in sys.modules) == ({argv[0]!r} == "scan")
         """
     )
 

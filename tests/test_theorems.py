@@ -192,6 +192,25 @@ def test_residual_reported_for_algebraic_entries():
     assert checked == {"thm-3.14": True, "thm-3.16": True}
 
 
+def test_verify_all_counts_each_distinct_pop_once(monkeypatch):
+    counted = []
+    real = theorems.count_avoiders_prefix
+
+    def spy(pop, n_max, **kwargs):
+        counted.append(pop)
+        return real(pop, n_max, **kwargs)
+
+    monkeypatch.setattr(theorems, "count_avoiders_prefix", spy)
+    reports = verify_all(6)
+    assert all(r.passed for r in reports)
+    pops = {THEOREMS[r.theorem_id].pop(r.k) for r in reports}
+    assert len(reports) == 39 and len(pops) == 30
+    assert sorted(counted, key=str) == sorted(pops, key=str)
+    # No count outlives the call.
+    verify_all(5)
+    assert len(counted) == 60
+
+
 # ----------------------------------------------------------------------
 # Conjectures
 

@@ -22,6 +22,7 @@ import os
 import sys
 from functools import partial
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from .counting import (
     DEFAULT_CEILING,
@@ -37,6 +38,9 @@ from .posets import (
     parse_pop,
     symmetry_orbit,
 )
+
+if TYPE_CHECKING:
+    from .oeis import OeisDb
 
 
 def _emit(args: argparse.Namespace, payload: dict, lines: list[str]) -> None:

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import math
 import os
+from collections import defaultdict
 from functools import partial
 from itertools import combinations, permutations
 from typing import Callable, Iterator, NamedTuple, Sequence
@@ -277,49 +278,31 @@ def count_avoiders_pattern_set(
     return completions(())
 
 
-def count_cycle_interval_perms(
-    k: int, n: int, *, ceiling: int = DEFAULT_CEILING
-) -> int:
-    """Permutations of length n whose every cycle fits in an interval
-    of at most k-1 consecutive integers.
+def count_cycle_interval_perms(k: int, n: int, *, ceiling: int = DEFAULT_CEILING) -> int:
+    """Permutations of length n whose every cycle fits in an interval of
+    at most k-1 consecutive integers; no pattern machinery is used, so
+    this checks ``count_avoiders`` independently.
 
-    This is a direct filter over all of S_n, deliberately independent of
-    the pattern machinery; it serves as the other side of a bijection
-    check against ``count_avoiders``.
-    """
+    A block of s values holds (s-1)! cycles (the exponential formula;
+    Stanley, EC2, sec. 5.1).  Values enter in increasing order, each
+    opening a block or joining an open block of size s in s ways.  A
+    block is open while its least value is fewer than k-1 values back;
+    a state is the tuple of open blocks as (values since least, size)."""
     if k < 1:
         raise ValueError(f"k must be at least 1, got {k}")
     _check_length(n, ceiling)
-    if n == 0:
-        return 1
-    w = k - 1
-    if w < 1:
-        return 0
-    total = 0
-    for p in permutations(range(1, n + 1)):
-        seen = 0
-        ok = True
-        for i in range(1, n + 1):
-            if seen >> i & 1:
-                continue
-            lo = hi = i
-            seen |= 1 << i
-            j = p[i - 1]
-            while j != i:
-                seen |= 1 << j
-                if j < lo:
-                    lo = j
-                elif j > hi:
-                    hi = j
-                if hi - lo >= w:
-                    ok = False
-                    break
-                j = p[j - 1]
-            if not ok:
-                break
-        if ok:
-            total += 1
-    return total
+    if k == 1:
+        return int(n == 0)
+    states: dict[tuple[tuple[int, int], ...], int] = {(): 1}
+    for _ in range(n):
+        grown: defaultdict[tuple[tuple[int, int], ...], int] = defaultdict(int)
+        for blocks, ways in states.items():
+            aged = tuple((a + 1, s) for a, s in blocks if a + 1 < k - 1)
+            grown[((0, 1), *aged)] += ways
+            for i, (a, s) in enumerate(aged):
+                grown[(*aged[:i], (a, s + 1), *aged[i + 1 :])] += ways * s
+        states = grown
+    return sum(states.values())
 
 
 def naive_count_avoiders(pop: Pop, n: int, *, ceiling: int = 7) -> int:

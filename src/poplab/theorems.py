@@ -103,7 +103,8 @@ def _exact_div(numerator: int, denominator: int) -> int:
 
 def _family_cycle_interval(n_max: int, k: int) -> list[int]:
     # The bijection side: permutations whose cycles fit in length-(k-1)
-    # intervals of values.  Refuse an oversized n before filtering any S_n.
+    # intervals of values.  Refuse an oversized n before any work, as
+    # every catalogue reference does.
     _check_length(n_max, DEFAULT_CEILING)
     return [count_cycle_interval_perms(k, n) for n in range(n_max + 1)]
 
@@ -700,15 +701,7 @@ class Report(NamedTuple):
             "passed": self.passed,
             "prefix_consistent": self.prefix_consistent,
             "residual_zero": self.residual_zero,
-            "rows": [
-                {
-                    "n": r.n,
-                    "formula_value": r.formula_value,
-                    "brute_value": r.brute_value,
-                    "match": r.match,
-                }
-                for r in self.rows
-            ],
+            "rows": [r._asdict() for r in self.rows],
             "notes": list(self.notes),
         }
 

@@ -28,6 +28,7 @@ from poplab.posets import (
     linear_extensions,
     parse_pop,
 )
+from poplab.theorems import theorem_sequence
 
 SAMPLE_POPS = [
     "k=3;",
@@ -245,10 +246,23 @@ def brute_cycle_interval(k: int, n: int) -> int:
     )
 
 
-@pytest.mark.parametrize("k", [2, 3, 4, 5])
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6, 7])
 def test_cycle_interval_counter_matches_brute_force(k):
-    for n in range(0, 7):
+    for n in range(0, 8):
         assert count_cycle_interval_perms(k, n) == brute_cycle_interval(k, n)
+
+
+def test_cycle_interval_counter_matches_catalogue_formulas_past_the_ceiling():
+    # thm-2.6 at k = 4 and 5 counts the POPs of thm-3.1 and thm-4.1, whose
+    # formulas share no code with the counter.
+    for k, theorem_id in ((4, "thm-3.1"), (5, "thm-4.1")):
+        counts = [count_cycle_interval_perms(k, n, ceiling=40) for n in range(41)]
+        assert counts == list(theorem_sequence(theorem_id, 40))
+
+
+def test_cycle_interval_counter_at_the_largest_k():
+    # k = 21 is the largest k a POP may have; every cycle of S_10 fits.
+    assert count_cycle_interval_perms(21, 10) == math.factorial(10)
 
 
 def test_cycle_interval_known_values():

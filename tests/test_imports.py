@@ -6,7 +6,8 @@ runs: ``count`` and ``scan`` do not load the catalogue (``theorems``,
 (``poplab.oeis``). No command loads ``concurrent.futures`` or
 ``multiprocessing``, with any number of jobs: the pool forks its workers
 itself. No command loads ``dataclasses`` or ``inspect``: the records are
-``NamedTuple`` classes.
+``NamedTuple`` classes. Every annotation resolves when ``TYPE_CHECKING``
+is true, as a static checker reads it.
 """
 
 from __future__ import annotations
@@ -133,5 +134,32 @@ def test_every_public_name_resolves_to_its_submodule():
             assert "no_such_name" in str(exc)
         else:
             raise AssertionError("unknown attribute resolved")
+        """
+    )
+
+
+def test_every_annotation_resolves_as_a_type_checker_reads_it():
+    # A name imported only under TYPE_CHECKING must still be imported there,
+    # or a static checker flags it; so run each module again with it true.
+    run_fresh(
+        """
+        import importlib, importlib.util, pkgutil, typing
+        import poplab
+        names = [i.name for i in pkgutil.iter_modules(poplab.__path__) if i.name != "__main__"]
+        for name in names:
+            importlib.import_module(f"poplab.{name}")
+        typing.TYPE_CHECKING = True
+        for name in names:
+            spec = importlib.util.find_spec(f"poplab.{name}")
+            module = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(module)
+            for obj in vars(module).values():
+                if getattr(obj, "__module__", None) != module.__name__:
+                    continue
+                members = vars(obj).values() if isinstance(obj, type) else ()
+                for target in (obj, *members):
+                    target = getattr(target, "fget", getattr(target, "__func__", target))
+                    if callable(target):
+                        typing.get_type_hints(target)
         """
     )

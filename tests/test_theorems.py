@@ -41,7 +41,7 @@ def test_unknown_id_rejected():
 
 def test_cycle_interval_reference_refuses_past_its_ceiling_at_once(monkeypatch):
     def no_filter(*args, **kwargs):
-        raise AssertionError("the S_n filter ran before the ceiling check")
+        raise AssertionError("the reference counted before the ceiling check")
 
     monkeypatch.setattr(theorems, "count_cycle_interval_perms", no_filter)
     with pytest.raises(CeilingExceeded) as info:
@@ -155,6 +155,7 @@ def test_verify_theorem_report_fields():
     assert doc["schema"] == 1
     assert doc["id"] == "thm-2.3"
     assert doc["passed"] is True
+    assert list(doc["rows"][0]) == ["n", "formula_value", "brute_value", "match"]
     assert "PASS" in report.to_text()
 
 
@@ -162,6 +163,11 @@ def test_verify_theorem_at_other_length():
     report = verify_theorem("thm-2.6", n_max=6, k=5)
     assert report.k == 5
     assert report.passed
+
+
+@pytest.mark.parametrize("k", [4, 5])
+def test_cycle_interval_bijection_holds_at_the_ceiling(k):
+    assert verify_theorem("thm-2.6", DEFAULT_CEILING, k=k).passed
 
 
 def test_family_at_an_uncatalogued_length_reports_no_prefix_check():

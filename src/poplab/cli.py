@@ -166,9 +166,9 @@ def scan_pops(
         orbits.setdefault(canonical_class(pop).code, []).append(pop)
     codes = sorted(orbits)
     reps = [min(orbits[code], key=lambda p: p.encode()) for code in codes]
-    for code, rep in zip(codes, reps):
-        members = {p.to_text() for p in orbits[code]}
-        if {p.to_text() for p in symmetry_orbit(rep)} != members:
+    texts = [sorted(p.to_text() for p in orbits[code]) for code in codes]
+    for rep, members in zip(reps, texts):
+        if sorted(p.to_text() for p in symmetry_orbit(rep)) != members:
             raise AssertionError(f"orbit mismatch for {rep.to_text()}")
 
     # The orbits share one pool; passing jobs on would start a pool per orbit.
@@ -184,8 +184,7 @@ def scan_pops(
         if n_max >= DEFAULT_MIN_OVERLAP:
             all_matches = match_sequences(db, [counts[1:] for counts in all_counts])
     entries = []
-    for code, rep, counts, matches in zip(codes, reps, all_counts, all_matches):
-        members = sorted(p.to_text() for p in orbits[code])
+    for code, rep, members, counts, matches in zip(codes, reps, texts, all_counts, all_matches):
         entries.append(
             {
                 "pop": rep.to_text(),

@@ -8,13 +8,14 @@ A child is kept unless an occurrence ends at its new last entry, as an
 earlier one would have pruned an ancestor.  One depth-first walk to
 depth n_max gives every count for n <= n_max.
 
-A node carries the bitmask of its live ranks: those that no occurrence
-within its older entries forbids, as a prune at a node holds in every
-descendant (the enumeration-scheme idea; Zeilberger, Ann. Comb. 2,
-1998).  So ``perms._compiled_keep``, generated once per POP per process,
-checks only the occurrences whose label k-1 is the node's last entry,
-for all live ranks in one pass.  No child is built to be tested, and
-the avoiders of length n_max are counted, not built.
+A node is an avoider in ``bytes``, one per entry, with the bitmask of
+its live ranks: those that no occurrence within its older entries
+forbids, as a prune at a node holds in every descendant (the
+enumeration-scheme idea; Zeilberger, Ann. Comb. 2, 1998).  So
+``perms._compiled_keep``, generated once per POP per process, checks
+only the occurrences whose label k-1 is the node's last entry, for all
+live ranks in one pass.  A child is one ``bytes.translate``, and the
+avoiders of length n_max are counted from their parents' kept ranks.
 
 A parallel count maps the same subtree walk over the nodes at depth
 ``SPLIT_DEPTH`` through ``_pool_map``, the only place poplab starts
@@ -37,8 +38,8 @@ from .perms import Permutation, _compiled_keep
 from .posets import Pop
 
 DEFAULT_CEILING = 10
-# The walk recurses once per length, so no ceiling may let n pass this.
-MAX_LENGTH = 500
+# Nodes hold each entry in a byte and reach length n-1, so no ceiling may let n pass this.
+MAX_LENGTH = 256
 # Depth of the subtrees that a parallel count hands to its workers.
 SPLIT_DEPTH = 4
 
@@ -64,7 +65,7 @@ def _check_length(n: int, ceiling: int) -> None:
     if n > MAX_LENGTH:
         raise ValueError(
             f"refusing to count at n={n}: lengths above {MAX_LENGTH} are refused "
-            "whatever the ceiling, as the tree walk recurses once per length"
+            "whatever the ceiling, as the tree walk stores each entry in one byte"
         )
     if n > ceiling:
         raise CeilingExceeded(n, ceiling)
@@ -85,15 +86,19 @@ class CountSequence(NamedTuple):
 
 
 # A tree node: an avoider and the bitmask of its active sites (bit r for rank r).
-_Node = tuple[list[int], int]
+_Node = tuple[bytes, int]
+_BYTES = bytes(range(256))
+# Appending rank r: _SHIFT[r] maps each old value v to v + (v >= r).
+_SHIFT = [_BYTES[:r] + _BYTES[r + 1 :] + _BYTES[:1] for r in range(256)]
+_LAST = [_BYTES[r : r + 1] for r in range(256)]
 
 
-def _children(perm: list[int], kept: int) -> Iterator[_Node]:
+def _children(perm: bytes, kept: int) -> Iterator[_Node]:
     """The child of each rank r in ``kept``: it keeps s <= r and s + 1 for s >= r."""
     for r in range(1, len(perm) + 2):
         if kept >> r & 1:
             low = kept & ((2 << r) - 1)
-            yield [v + (v >= r) for v in perm] + [r], low | ((kept >> r) << (r + 1))
+            yield perm.translate(_SHIFT[r]) + _LAST[r], low | ((kept >> r) << (r + 1))
 
 
 def _subtree_counts(pop: Pop, n_max: int, root: _Node) -> list[int]:
@@ -102,12 +107,14 @@ def _subtree_counts(pop: Pop, n_max: int, root: _Node) -> list[int]:
     keep = _compiled_keep(pop)
     counts = [0] * (n_max + 1)
 
-    def walk(perm: list[int], live: int) -> None:
+    def walk(perm: bytes, live: int) -> None:
         kept = keep(perm, live)
         counts[len(perm) + 1] += kept.bit_count()
-        if len(perm) + 2 <= n_max:
+        if len(perm) + 3 <= n_max:
             for child in _children(perm, kept):
                 walk(*child)
+        elif len(perm) + 2 == n_max:
+            counts[n_max] += sum(keep(*child).bit_count() for child in _children(perm, kept))
 
     walk(*root)
     return counts
@@ -221,7 +228,7 @@ def count_avoiders_prefix(
     keep = _compiled_keep(pop)
     counts = [0] * (n_max + 1)
     depth = min(SPLIT_DEPTH, n_max - 1)
-    level: list[_Node] = [([], 1 << 1)]
+    level: list[_Node] = [(b"", 1 << 1)]
     for m in range(depth):
         counts[m] = len(level)
         level = [c for p, live in level for c in _children(p, keep(p, live))]

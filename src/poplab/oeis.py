@@ -90,8 +90,11 @@ def _terms(text: str) -> tuple[int, ...]:
 
 
 _LINE_RE = re.compile(r"(A\d{6,7})\s+(.*)")
-# A row as the fast pass takes it, before its terms are checked.
-_CANONICAL_LINE_RE = re.compile(r"(A[0-9]{6,7}) (,.*,)")
+# One line as the fast pass takes it: a row, before its terms are checked,
+# a comment with no other line boundary that str.splitlines honours, or blank.
+_CANONICAL_LINE_RE = re.compile(
+    r"^(?:(A[0-9]{6,7}) (,.*,)|#[^\r\x0b\x0c\x1c-\x1e\x85\u2028\u2029\n]*|)$", re.M
+)
 _TERM_CHARS = b"0123456789,-\n"
 _NONZERO_TO_ONE = bytes.maketrans(b"123456789", b"111111111")
 # An empty term or a leading zero, once every nonzero digit reads 1.
@@ -103,18 +106,13 @@ def _canonical_rows(text: str) -> dict[str, str] | None:
     ``A... ,t1,...,tn,`` with canonical terms and unique A-numbers, and
     whose payloads fit the interpreter's int-string digit cap, if any;
     None for any other file."""
-    rows: dict[str, str] = {}
-    for line in text.splitlines():
-        m = _CANONICAL_LINE_RE.fullmatch(line)
-        if m is None:
-            if line[:1] in ("", "#"):
-                continue
-            return None
-        a_number, payload = m.groups()
-        if a_number in rows:
-            return None
-        rows[a_number] = payload
-    if not rows:
+    found = _CANONICAL_LINE_RE.findall(text)
+    # Each line between newlines yields one match exactly when it fits.
+    if len(found) != text.count("\n") + 1:
+        return None
+    rows = dict(found)
+    rows.pop("", None)
+    if not rows or len(rows) != len(found) - found.count(("", "")):
         return None
     data = "\n".join(rows.values()).encode()
     if data.translate(None, _TERM_CHARS):

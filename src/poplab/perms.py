@@ -236,7 +236,9 @@ def _compiled_keep(pop: "Pop") -> Callable[[Sequence[int], int], int]:
     A new entry of rank r lies above an old value v exactly when v < r, so
     an occurrence forbids the ranks lo+1..hi, where lo (hi) is the largest
     (smallest) value placed below (above) label k; the call returns once
-    the interval that label k-1 alone fixes holds no live rank."""
+    the interval that label k-1 alone fixes holds no live rank.  A label
+    related to no later one stops at its first fit: no later test reads it,
+    and a later position only narrows the later labels' positions."""
     k, below = pop.k, pop.below
     if k > MAX_COMPILED_K:
         raise ValueError(
@@ -255,6 +257,7 @@ def _compiled_keep(pop: "Pop") -> Callable[[Sequence[int], int], int]:
     lines += ["        return live", f"    v{pin} = p[m - 1]"]
     lines += [f"    if not live & ({interval}):", "        return live"]
     pad = "    "
+    breaks = []
     for j in range(pin):
         start = f"i{j - 1} + 1" if j else "0"
         lines.append(f"{pad}for i{j} in range({start}, m - {k - 2 - j}):")
@@ -275,9 +278,11 @@ def _compiled_keep(pop: "Pop") -> Callable[[Sequence[int], int], int]:
         if tests:
             lines.append(f"{pad}if {' and '.join(tests)}:")
             pad += "    "
+        if not any(below[j][i] or below[i][j] for i in range(j + 1, k)):
+            breaks.append(f"{pad}break")
     forbid = f"(2 << {bound['hi']}) - (2 << {bound['lo']})"
     lines += [f"{pad}live &= ~({forbid})", f"{pad}if not live & ({interval}):"]
-    lines += [f"{pad}    return live", "    return live"]
+    lines += [f"{pad}    return live", *reversed(breaks), "    return live"]
     namespace: dict = {}
     exec("\n".join(lines), namespace)
     return namespace["keep"]

@@ -143,13 +143,7 @@ class Pop:
 
     def encode(self) -> int:
         """Pack the relation matrix into an integer, row by row."""
-        code = 0
-        for a in range(self._k):
-            for b in range(self._k):
-                if a == b:
-                    continue
-                code = (code << 1) | self._below[a][b]
-        return code
+        return _encode(self._below)
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -170,6 +164,16 @@ class Pop:
     @classmethod
     def from_text(cls, text: str) -> "Pop":
         return parse_pop(text)
+
+
+def _encode(below) -> int:
+    """Pack a relation matrix into an integer, row by row, off the diagonal."""
+    code = 0
+    for a, row in enumerate(below):
+        for b, related in enumerate(row):
+            if a != b:
+                code = (code << 1) | related
+    return code
 
 
 _REL_RE = re.compile(r"^(\d+)>(\d+)$")
@@ -245,8 +249,11 @@ def symmetry_orbit(pop: Pop) -> tuple[Pop, ...]:
 
 
 def canonical_class(pop: Pop) -> ClassKey:
-    """The ClassKey shared by the whole symmetry orbit of ``pop``."""
-    return ClassKey(pop.k, min(p.encode() for p in symmetry_orbit(pop)))
+    """The ClassKey of the symmetry orbit of ``pop``: the least code of its
+    matrix and its dual's, each also label-complemented, with no Pop built."""
+    below, dual_below = pop.below, list(zip(*pop.below))
+    flipped = [[row[::-1] for row in matrix[::-1]] for matrix in (below, dual_below)]
+    return ClassKey(pop.k, min(map(_encode, (below, dual_below, *flipped))))
 
 
 def linear_extensions(pop: Pop) -> tuple[Permutation, ...]:

@@ -118,13 +118,25 @@ def test_count_past_matcher_label_limit_is_usage_error(capsys):
     "length_args", [["--n", "1500"], ["--nmax", "1500", "--jobs", "2"]], ids=["n", "nmax-jobs-2"]
 )
 def test_count_past_the_length_bound_is_usage_error(capsys, length_args):
-    # The tree walk recurses once per length; a high ceiling must not let
-    # it reach the interpreter's recursion limit.
+    # A tree node stores each entry in one byte; a high ceiling must not
+    # let n pass what that holds.
     assert main(["count", "k=2; 1>2", *length_args, "--ceiling", "2000"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: refusing to count at n=1500")
-    assert "above 500" in captured.err
+    assert "above 256" in captured.err
+
+
+@pytest.mark.parametrize("pop_text, count", [("k=2; 1>2", 1), ("k=3;", 0)])
+def test_count_at_the_length_bound(capsys, pop_text, count):
+    # n = 256 stores nodes of up to 255 entries, each value at most 255.
+    assert main(["count", pop_text, "--n", "256", "--ceiling", "256"]) == 0
+    assert capsys.readouterr().out == f"{count}\n"
+    assert main(["count", pop_text, "--n", "257", "--ceiling", "257"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: refusing to count at n=257")
+    assert "above 256" in captured.err
 
 
 def test_count_nmax_passes_jobs_on(monkeypatch, capsys):

@@ -8,6 +8,7 @@ import random
 import pytest
 
 import poplab.counting as counting
+import poplab.perms as perms
 from poplab.counting import (
     SPLIT_DEPTH,
     CeilingExceeded,
@@ -22,6 +23,7 @@ from poplab.counting import (
 from poplab.perms import Permutation
 from poplab.posets import (
     antichain,
+    canonical_class,
     dual,
     enumerate_pops,
     label_complement,
@@ -61,6 +63,33 @@ def test_pruned_counter_matches_pattern_set_counter(pop_text):
     patterns = linear_extensions(pop)
     for n in range(0, 7):
         assert count_avoiders(pop, n) == count_avoiders_pattern_set(patterns, n)
+
+
+def matcher_source(pop) -> str:
+    """The source that ``_compiled_keep`` generates for ``pop``."""
+    sources = []
+
+    def spy(source, namespace):
+        sources.append(source)
+        exec(source, namespace)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(perms, "exec", spy, raising=False)
+        perms._compiled_keep.__wrapped__(pop)
+    return sources[0]
+
+
+@pytest.mark.parametrize("k, n", [(4, 8), (5, 7)])
+def test_first_fit_matchers_match_pattern_set_counter(k, n):
+    # A label related to no later one stops at its first fitting position.
+    orbits = {}
+    for pop in enumerate_pops(k):
+        orbits.setdefault(canonical_class(pop).code, []).append(pop)
+    reps = [min(orbit, key=lambda p: p.encode()) for orbit in orbits.values()]
+    first_fit = [pop for pop in reps if "break" in matcher_source(pop)]
+    assert first_fit
+    for pop in first_fit:
+        assert count_avoiders(pop, n) == count_avoiders_pattern_set(linear_extensions(pop), n)
 
 
 @pytest.mark.parametrize(

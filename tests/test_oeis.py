@@ -241,6 +241,29 @@ def test_load_errors_equal_per_line_reference(tmp_path, case):
         assert isinstance(rows, str) and caught == []
 
 
+# Every line boundary that str.splitlines honours besides "\n" (a file
+# read as text turns "\r" and "\r\n" into "\n" before either pass sees it).
+LINE_BOUNDARIES = ["\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+BOUNDARY_PLACES = {
+    "row": "A000010 ,1,{}2,\n",
+    "comment": "# was{}A000010 ,5,6,\n",
+    "blank": "{}\n",
+}
+
+
+@pytest.mark.parametrize("place", sorted(BOUNDARY_PLACES))
+@pytest.mark.parametrize("boundary", LINE_BOUNDARIES, ids=ascii)
+def test_load_splits_lines_where_the_reference_does(tmp_path, boundary, place):
+    rows, caught = check_load(write(tmp_path, HEAD + BOUNDARY_PLACES[place].format(boundary)))
+    assert isinstance(rows, dict) and len(rows) == 2 + (place != "blank")
+
+
+@pytest.mark.parametrize("ending", ["", "\n\n", "\n\n\n"], ids=["no-final-newline", "1-blank", "2-blank"])
+def test_load_file_endings_equal_per_line_reference(tmp_path, ending):
+    rows, caught = check_load(write(tmp_path, HEAD[:-1] + ending))
+    assert len(rows) == 2 and caught == []
+
+
 @pytest.mark.skipif(
     not hasattr(sys, "set_int_max_str_digits"), reason="no int-string digit cap"
 )
@@ -262,6 +285,9 @@ def test_canonical_files_skip_the_careful_pass(tmp_path, monkeypatch):
 
     monkeypatch.setattr(oeis, "_careful_rows", careful)
     assert len(load_stripped(bundled_path())) == 38
+    for i, text in enumerate([HEAD.replace("\n", "\r\n"), HEAD[:-1], HEAD + "\n\n"]):
+        path = write(tmp_path, text, name=f"head{i}")
+        assert load_stripped(path).a_numbers() == ["A000001", "A000002"]
     rng = random.Random(2019)
     for trial in range(10):
         load_stripped(write(tmp_path, random_stripped(rng, True), name=f"s{trial}"))

@@ -194,6 +194,12 @@ def test_canonical_class_constant_on_orbit():
         assert key.code <= pop.encode()
 
 
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+def test_canonical_class_is_the_least_code_in_the_orbit(k):
+    for pop in enumerate_pops(k):
+        assert canonical_class(pop).code == min(q.encode() for q in symmetry_orbit(pop))
+
+
 # ----------------------------------------------------------------------
 # Exhaustive generation
 

@@ -31,7 +31,7 @@ import math
 import os
 from collections import defaultdict
 from functools import partial
-from itertools import combinations, permutations
+from itertools import combinations, permutations, repeat
 from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .perms import Permutation, _compiled_keep
@@ -58,15 +58,9 @@ class CeilingExceeded(ValueError):
 
 
 def _check_length(n: int, ceiling: int) -> None:
-    """Refuse a negative length, one past ``MAX_LENGTH`` whatever the
-    ceiling, and one past an exhaustive count's ceiling."""
+    """Refuse a negative length, and one past an exhaustive count's ceiling."""
     if n < 0:
         raise ValueError(f"length must be nonnegative, got {n}")
-    if n > MAX_LENGTH:
-        raise ValueError(
-            f"refusing to count at n={n}: lengths above {MAX_LENGTH} are refused "
-            "whatever the ceiling, as the tree walk stores each entry in one byte"
-        )
     if n > ceiling:
         raise CeilingExceeded(n, ceiling)
 
@@ -222,6 +216,11 @@ def count_avoiders_prefix(
     With ``jobs > 1`` the subtrees below depth ``SPLIT_DEPTH`` are
     counted in a process pool; the counts do not depend on ``jobs``.
     """
+    if n_max > MAX_LENGTH:
+        raise ValueError(
+            f"refusing to count at n={n_max}: lengths above {MAX_LENGTH} are refused "
+            "whatever the ceiling, as the tree walk stores each entry in one byte"
+        )
     _check_length(n_max, ceiling)
     if pop.k > n_max:
         return CountSequence(pop, tuple(math.factorial(n) for n in range(n_max + 1)))
@@ -255,32 +254,29 @@ def count_avoiders_pattern_set(
     and shares none of its parts: no compiled matcher, live mask, POP or
     generating tree.  An occurrence of a pattern p in a permutation of
     1..n is a value tuple that p's ranks pick out of some len(p)-subset
-    of 1..n; those tuples are listed once, and each avoider is built
-    value by value, refusing a value v when ``(*sub, v)`` is one of them
-    for some subset ``sub`` of the values before it.
+    of 1..n; those tuples are listed once, each as its last value under
+    the tuple of its other values, and each avoider is built value by
+    value, refusing a value that ends an occurrence whose other values
+    are a subset of the values before it.
     """
     _check_length(n, ceiling)
     pats = [tuple(p) for p in patterns]
     if () in pats:
         return 0  # the empty pattern occurs in every permutation
-    occurrences = {
-        tuple(c[r - 1] for r in p)
-        for p in pats
-        for c in combinations(range(1, n + 1), len(p))
-    }
+    ends: dict[tuple[int, ...], set[int]] = {}
+    for p in pats:
+        for c in combinations(range(1, n + 1), len(p)):
+            occurrence = tuple(c[r - 1] for r in p)
+            ends.setdefault(occurrence[:-1], set()).add(occurrence[-1])
     sizes = {len(p) - 1 for p in pats}
 
     def completions(prefix: tuple[int, ...]) -> int:
         if len(prefix) == n:
             return 1
-        return sum(
-            completions((*prefix, v))
-            for v in range(1, n + 1)
-            if v not in prefix
-            and not any(
-                (*sub, v) in occurrences for size in sizes for sub in combinations(prefix, size)
-            )
-        )
+        refused = set(prefix)
+        for size in sizes:
+            refused.update(*map(ends.get, combinations(prefix, size), repeat(())))
+        return sum(completions((*prefix, v)) for v in range(1, n + 1) if v not in refused)
 
     return completions(())
 

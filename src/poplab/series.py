@@ -1,17 +1,44 @@
 """Truncated power series over the rationals, with exact arithmetic.
 
-A ``TruncatedSeries`` stores coefficients c_0..c_order as Fractions.
+A ``TruncatedSeries`` stores coefficients c_0..c_order as ints where
+they are integral and as Fractions (denominator above 1) where they are
+not, so a series with integer coefficients is pure int arithmetic and
+``fractions`` is imported only on the first non-integral value.
 Binary operations truncate to the smaller order of the two operands.
 Everything here is exact; floats never appear.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import isqrt
-from typing import Iterable, Sequence, Union
+from typing import TYPE_CHECKING, Iterable, Sequence, Union
 
-_Coeff = Union[int, Fraction]
+if TYPE_CHECKING:
+    from fractions import Fraction
+
+_Coeff = Union[int, "Fraction"]
+
+
+def _exact(value: object) -> _Coeff:
+    """An int or a rational as a coefficient: an int when integral, else
+    a Fraction with denominator above 1."""
+    if type(value) is int:
+        return value
+    from fractions import Fraction
+
+    if not isinstance(value, Fraction):
+        value = Fraction(value)
+    return value.numerator if value.denominator == 1 else value
+
+
+def _div(a: _Coeff, b: _Coeff) -> _Coeff:
+    """a / b as a coefficient: ``a // b`` when both are ints and b divides
+    a, else an exact Fraction; never the float ``int / int``."""
+    if type(a) is int and type(b) is int and not a % b:
+        return a // b
+    from fractions import Fraction
+
+    return _exact(Fraction(a) / b)
 
 
 class TruncatedSeries:
@@ -20,12 +47,12 @@ class TruncatedSeries:
     __slots__ = ("_coeffs",)
 
     def __init__(self, coeffs: Iterable[_Coeff], order: int | None = None):
-        vals = [Fraction(c) for c in coeffs]
+        vals = [c if type(c) is int else _exact(c) for c in coeffs]
         if order is not None:
             if order < 0:
                 raise ValueError(f"order must be nonnegative, got {order}")
             vals = vals[: order + 1]
-            vals.extend([Fraction(0)] * (order + 1 - len(vals)))
+            vals.extend([0] * (order + 1 - len(vals)))
         if not vals:
             raise ValueError("a series needs at least its constant term")
         self._coeffs = tuple(vals)
@@ -35,25 +62,25 @@ class TruncatedSeries:
         return len(self._coeffs) - 1
 
     @property
-    def coeffs(self) -> tuple[Fraction, ...]:
+    def coeffs(self) -> tuple[_Coeff, ...]:
+        """c_0..c_order: an int where integral, else a Fraction."""
         return self._coeffs
 
-    def coefficient(self, n: int) -> Fraction:
+    def coefficient(self, n: int) -> _Coeff:
+        """c_n: an int where integral, else a Fraction."""
         if not 0 <= n <= self.order:
             raise IndexError(f"coefficient {n} beyond truncation order {self.order}")
         return self._coeffs[n]
 
     def integer_coefficients(self) -> list[int]:
         """The coefficients as ints; raises if any is not an integer."""
-        out = []
         for i, c in enumerate(self._coeffs):
-            if c.denominator != 1:
+            if type(c) is not int:
                 raise ValueError(f"coefficient of x^{i} is not an integer: {c}")
-            out.append(c.numerator)
-        return out
+        return list(self._coeffs)
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self._coeffs)
+        return not any(self._coeffs)
 
     # ------------------------------------------------------------------
     # Arithmetic; binary operations return the smaller order.
@@ -83,11 +110,11 @@ class TruncatedSeries:
 
     def __mul__(self, other: "TruncatedSeries | _Coeff") -> "TruncatedSeries":
         if not isinstance(other, TruncatedSeries):
-            f = Fraction(other)
+            f = _exact(other)
             return TruncatedSeries([c * f for c in self._coeffs])
         order = min(self.order, other.order)
         a, b = self._coeffs, other._coeffs
-        out = [Fraction(0)] * (order + 1)
+        out = [0] * (order + 1)
         for i in range(order + 1):
             ai = a[i]
             if ai == 0:
@@ -100,20 +127,20 @@ class TruncatedSeries:
 
     def __truediv__(self, other: "TruncatedSeries | _Coeff") -> "TruncatedSeries":
         if not isinstance(other, TruncatedSeries):
-            f = Fraction(other)
+            f = _exact(other)
             if f == 0:
                 raise ZeroDivisionError("division of a series by zero")
-            return TruncatedSeries([c / f for c in self._coeffs])
+            return TruncatedSeries([_div(c, f) for c in self._coeffs])
         if other._coeffs[0] == 0:
             raise ZeroDivisionError("division by a series with zero constant term")
         order = min(self.order, other.order)
         a, b = self._coeffs, other._coeffs
-        out: list[Fraction] = []
+        out: list[_Coeff] = []
         for n in range(order + 1):
             acc = a[n]
             for i in range(1, n + 1):
                 acc -= b[i] * out[n - i]
-            out.append(acc / b[0])
+            out.append(_div(acc, b[0]))
         return TruncatedSeries(out)
 
     def __rtruediv__(self, other: _Coeff) -> "TruncatedSeries":
@@ -139,7 +166,7 @@ class TruncatedSeries:
             acc = self._coeffs[n]
             for i in range(1, n):
                 acc -= out[i] * out[n - i]
-            out.append(acc / (2 * root0))
+            out.append(_div(acc, 2 * root0))
         return TruncatedSeries(out)
 
     def derivative(self) -> "TruncatedSeries":
@@ -174,14 +201,15 @@ class TruncatedSeries:
         return f"{body} + O(x^{self.order + 1})"
 
 
-def _rational_sqrt(value: Fraction) -> Fraction | None:
+def _rational_sqrt(value: _Coeff) -> _Coeff | None:
     if value < 0:
         return None
+    # An int is its own numerator over denominator 1, so its root is an int.
     num, den = value.numerator, value.denominator
     rn, rd = isqrt(num), isqrt(den)
     if rn * rn != num or rd * rd != den:
         return None
-    return Fraction(rn, rd)
+    return _div(rn, rd)
 
 
 def from_rational(num: Sequence[int], den: Sequence[int], order: int) -> TruncatedSeries:

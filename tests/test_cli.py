@@ -269,6 +269,14 @@ def test_verify_past_cycle_filter_ceiling_is_usage_error(capsys):
     assert "ceiling 10" in capsys.readouterr().err
 
 
+def test_verify_past_the_tree_walk_length_bound_names_the_ceiling(capsys):
+    # The byte bound belongs to the tree walk; the catalogue refuses first.
+    assert main(["verify", "thm-2.6", "--nmax", "257"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: refusing exhaustive count at n=257 beyond ceiling 10\n"
+
+
 def test_verify_failure_gives_exit_one(monkeypatch, capsys):
     report = theorems.verify_theorem("thm-2.2", 5)
     failing = type(report)(

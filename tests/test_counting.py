@@ -302,6 +302,16 @@ def test_cycle_interval_known_values():
     assert count_cycle_interval_perms(5, 7) == 399
 
 
+def test_cycle_interval_counter_past_the_tree_walk_length_bound():
+    # At k = 3 a counted permutation is a product of disjoint swaps of
+    # neighboring values, F(n+1) of them; the counter walks no tree, so
+    # the byte bound on tree nodes does not limit it.
+    fib = [0, 1]
+    while len(fib) < 259:
+        fib.append(fib[-2] + fib[-1])
+    assert count_cycle_interval_perms(3, 257, ceiling=300) == fib[258]
+
+
 def test_cycle_interval_ceiling():
     with pytest.raises(CeilingExceeded):
         count_cycle_interval_perms(4, 11)

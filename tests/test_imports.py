@@ -6,8 +6,10 @@ runs: ``count`` and ``scan`` do not load the catalogue (``theorems``,
 (``poplab.oeis``). No command loads ``concurrent.futures`` or
 ``multiprocessing``, with any number of jobs: the pool forks its workers
 itself. No command loads ``dataclasses`` or ``inspect``: the records are
-``NamedTuple`` classes. Every annotation resolves when ``TYPE_CHECKING``
-is true, as a static checker reads it.
+``NamedTuple`` classes. ``verify all`` and ``conjectures`` load no
+``fractions`` (nor ``decimal``, which it imports): the catalogue's series
+have integer coefficients, which stay ints. Every annotation resolves
+when ``TYPE_CHECKING`` is true, as a static checker reads it.
 """
 
 from __future__ import annotations
@@ -109,6 +111,26 @@ def test_command_loads_no_dataclasses_and_only_scan_loads_oeis(argv):
         loaded = [m for m in ("dataclasses", "inspect") if m in sys.modules]
         assert not loaded, loaded
         assert ("poplab.oeis" in sys.modules) == ({argv[0]!r} == "scan")
+        """
+    )
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["verify", "all", "--nmax", "7"], ["conjectures", "--nmax", "8"]],
+    ids=["verify-all", "conjectures"],
+)
+def test_catalogue_commands_load_no_fractions(argv):
+    run_fresh(
+        f"""
+        import contextlib, io, sys
+        import poplab.cli
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = poplab.cli.main({argv!r})
+        assert code == 0
+        assert "poplab.series" in sys.modules
+        loaded = [m for m in ("fractions", "decimal") if m in sys.modules]
+        assert not loaded, loaded
         """
     )
 

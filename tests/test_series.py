@@ -136,6 +136,100 @@ def test_str_form():
 
 
 # ----------------------------------------------------------------------
+# Coefficients against plain Fraction arithmetic; each stored coefficient
+# is an int where it is integral and a Fraction only where it is not.
+
+
+def is_canonical(series: TruncatedSeries) -> bool:
+    return all(
+        type(c) is int or (type(c) is Fraction and c.denominator > 1) for c in series.coeffs
+    )
+
+
+def ref_mul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
+    order = min(len(a), len(b)) - 1
+    return [sum((a[i] * b[n - i] for i in range(n + 1)), Fraction(0)) for n in range(order + 1)]
+
+
+def ref_div(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
+    order = min(len(a), len(b)) - 1
+    q: list[Fraction] = []
+    for n in range(order + 1):
+        q.append((a[n] - sum((b[i] * q[n - i] for i in range(1, n + 1)), Fraction(0))) / b[0])
+    return q
+
+
+def ref_sqrt(a: list[Fraction], root0: Fraction) -> list[Fraction]:
+    r = [root0]
+    for n in range(1, len(a)):
+        r.append((a[n] - sum((r[i] * r[n - i] for i in range(1, n)), Fraction(0))) / (2 * root0))
+    return r
+
+
+def random_terms(rng: random.Random, order: int, rational: bool) -> list[Fraction]:
+    if rational:
+        return [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(order + 1)]
+    return [Fraction(rng.randint(-9, 9)) for _ in range(order + 1)]
+
+
+@pytest.mark.parametrize("rational", [False, True], ids=["integer", "rational"])
+def test_operations_match_fraction_arithmetic(rational):
+    rng = random.Random(409 + rational)
+    for _ in range(40):
+        order = rng.randint(0, 9)
+        a_terms = random_terms(rng, order, rational)
+        b_terms = random_terms(rng, order, rational)
+        b_terms[0] = b_terms[0] or Fraction(rng.choice([-1, 1, 2, -3]))
+        root0 = Fraction(rng.randint(1, 4), rng.randint(1, 3) if rational else 1)
+        square = [root0 * root0, *random_terms(rng, order, rational)[1:]]
+        a, b = TruncatedSeries(a_terms), TruncatedSeries(b_terms)
+        scalar = rng.choice([3, -2, -1, Fraction(-3, 4), Fraction(6, 3)])
+        cases = [
+            (a * b, ref_mul(a_terms, b_terms)),
+            (a / b, ref_div(a_terms, b_terms)),
+            (TruncatedSeries(square).sqrt(), ref_sqrt(square, root0)),
+            (b**3, ref_mul(ref_mul(b_terms, b_terms), b_terms)),
+            (a + scalar, [a_terms[0] + scalar, *a_terms[1:]]),
+            (scalar - a, [scalar - a_terms[0], *(-c for c in a_terms[1:])]),
+            (a * scalar, [c * scalar for c in a_terms]),
+            (a / scalar, [c / scalar for c in a_terms]),
+            (scalar / b, ref_div([Fraction(scalar)] + [Fraction(0)] * order, b_terms)),
+        ]
+        if order:
+            cases.append((a.derivative(), [(n + 1) * a_terms[n + 1] for n in range(order)]))
+        for series, expected in cases:
+            assert series.coeffs == tuple(expected)
+            assert is_canonical(series), series.coeffs
+
+
+@pytest.mark.parametrize(
+    "series, expected",
+    [
+        (1 / TruncatedSeries([2, -1], order=4), [Fraction(1, 2**n) for n in range(1, 6)]),
+        (
+            TruncatedSeries([1, 1], order=3).sqrt(),
+            [1, Fraction(1, 2), Fraction(-1, 8), Fraction(1, 16)],
+        ),
+        (TruncatedSeries([4, -6, 3], order=2) / -2, [-2, 3, Fraction(-3, 2)]),
+        (TruncatedSeries([Fraction(6, 3), Fraction(2, 4), Fraction(-4, 2)]), [2, Fraction(1, 2), -2]),
+    ],
+    ids=["geometric-half", "sqrt-one-plus-x", "negative-scalar", "constructor"],
+)
+def test_coefficients_are_ints_or_proper_fractions(series, expected):
+    assert [type(c) for c in series.coeffs] == [type(c) for c in expected]
+    assert series.coeffs == tuple(expected)
+    assert is_canonical(series)
+
+
+def test_integral_fraction_inputs_equal_int_inputs():
+    halves = TruncatedSeries([Fraction(1, 2)] * 3)
+    doubled = halves * 2
+    assert doubled == TruncatedSeries([1, 1, 1])
+    assert hash(doubled) == hash(TruncatedSeries([Fraction(2, 2)] * 3))
+    assert doubled.integer_coefficients() == [1, 1, 1]
+
+
+# ----------------------------------------------------------------------
 # Rational generating functions
 
 

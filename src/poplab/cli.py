@@ -193,15 +193,7 @@ def scan_pops(
                 "members": members,
                 "counts": list(counts),
                 "wilf_class": class_index[counts],
-                "oeis_matches": [
-                    {
-                        "a_number": m.a_number,
-                        "shift": m.shift,
-                        "dropped": m.dropped,
-                        "overlap": m.overlap,
-                    }
-                    for m in matches
-                ],
+                "oeis_matches": [m._asdict() for m in matches],
             }
         )
     entries.sort(key=lambda e: (e["wilf_class"], e["class_key"]))

@@ -17,6 +17,7 @@ import sys
 import warnings
 from contextlib import suppress
 from importlib import resources
+from operator import index
 from pathlib import Path
 from typing import Iterator, NamedTuple, Sequence
 
@@ -51,7 +52,8 @@ class OeisDb:
     """A map from A-numbers to term tuples.
 
     Each row is kept as its canonical text ``,t1,...,tn,``: every term
-    written as ``str(int(t))``, so equal terms have equal text.  A row
+    written as ``str(operator.index(t))``, so equal terms have equal text
+    and a float or a string term raises TypeError.  A row
     becomes a tuple of ints only when it is read (``db[a]``,
     ``items()``) or when ``match_sequences`` makes it a candidate.  As
     in a loaded file, no term may have more digits than the
@@ -82,7 +84,7 @@ class OeisDb:
 
 
 def _text(terms: Sequence[int]) -> str:
-    return ",".join(["", *map(str, map(int, terms)), ""])
+    return ",".join(["", *map(str, map(index, terms)), ""])
 
 
 def _terms(text: str) -> tuple[int, ...]:
@@ -249,7 +251,7 @@ def match_sequences(
         raise ValueError(f"min_overlap must be positive, got {min_overlap}")
     if max_shift < 0:
         raise ValueError(f"max_shift must be nonnegative, got {max_shift}")
-    blocks = [tuple(int(t) for t in terms) for terms in queries]
+    blocks = [tuple(map(index, terms)) for terms in queries]
     windows: dict[tuple[int, ...], list[tuple[int, int]]] = {}
     for q, computed in enumerate(blocks):
         if len(computed) < min_overlap:

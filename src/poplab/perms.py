@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import combinations
+from operator import index
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
 if TYPE_CHECKING:
@@ -23,7 +24,7 @@ class Permutation:
     __slots__ = ("_values",)
 
     def __init__(self, values: Iterable[int]):
-        vals = tuple(int(v) for v in values)
+        vals = tuple(map(index, values))
         n = len(vals)
         if sorted(vals) != list(range(1, n + 1)):
             raise ValueError(f"not a permutation of 1..{n}: {vals}")

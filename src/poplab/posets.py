@@ -16,7 +16,7 @@ order, sorted numerically.
 from __future__ import annotations
 
 import re
-from itertools import permutations
+from itertools import combinations, permutations
 from typing import Iterable, Iterator, NamedTuple
 
 from .perms import MAX_COMPILED_K, Permutation
@@ -275,54 +275,39 @@ def linear_extensions(pop: Pop) -> tuple[Permutation, ...]:
 
 
 def enumerate_pops(k: int) -> list[Pop]:
-    """Every strict partial order on 1..k, in a fixed deterministic order.
+    """Every strict partial order on 1..k, each once, in a fixed order.
 
-    Unordered label pairs are visited row by row ((1,2), (1,3), (2,3),
-    (1,4), ...) and each undecided pair branches three ways: leave the
-    pair incomparable, or orient it either way and close transitively.
-    A branch whose closure would reach back and relate an earlier pair
-    that was left incomparable is pruned, so every closed order appears
-    exactly once.
+    Deleting label k from an order on 1..k leaves an order on 1..k-1,
+    and the rest of the order is D, the labels below k, and U, the
+    labels above it: D is down-closed, U is up-closed, and every label
+    of D lies below every label of U.  So each order on 1..k-1 and each
+    such pair (D, U) give one order on 1..k.  The orders on 1..k-1 are
+    extended in turn, their extensions sorted by label k's column, so
+    the list is lexicographic in the relation of each label pair a < b
+    (incomparable, then a below b, then a above b), with pairs taken as
+    (1,2), (1,3), (2,3), (1,4), ...
     """
-    pairs = [(i, j) for j in range(k) for i in range(j)]
-    index = {pair: t for t, pair in enumerate(pairs)}
-    below = [[False] * k for _ in range(k)]
+    if k <= 1:
+        return [Pop.from_relations(k, ())]
+    labels = range(k - 1)
+    subsets = [frozenset(c) for r in range(k) for c in combinations(labels, r)]
     out: list[Pop] = []
-
-    def implied_edges(lo: int, hi: int, t: int) -> list[tuple[int, int]] | None:
-        """New closure edges for lo below hi, or None when infeasible."""
-        down = [x for x in range(k) if x == lo or below[x][lo]]
-        up = [y for y in range(k) if y == hi or below[hi][y]]
-        new = []
-        for x in down:
-            for y in up:
-                if below[x][y]:
-                    continue
-                key = (x, y) if x < y else (y, x)
-                if index[key] < t:
-                    return None
-                new.append((x, y))
-        return new
-
-    def search(t: int) -> None:
-        if t == len(pairs):
-            out.append(Pop(k, tuple(tuple(row) for row in below)))
-            return
-        i, j = pairs[t]
-        if below[i][j] or below[j][i]:
-            search(t + 1)
-            return
-        # Leave the pair incomparable.
-        search(t + 1)
-        for lo, hi in ((i, j), (j, i)):
-            edges = implied_edges(lo, hi, t)
-            if edges is None:
-                continue
-            for x, y in edges:
-                below[x][y] = True
-            search(t + 1)
-            for x, y in edges:
-                below[x][y] = False
-
-    search(0)
+    for pop in enumerate_pops(k - 1):
+        below = pop.below
+        lower = [frozenset(x for x in labels if below[x][y]) for y in labels]
+        upper = [frozenset(y for y in labels if below[x][y]) for x in labels]
+        ups = [s for s in subsets if all(upper[u] <= s for u in s)]
+        columns = []
+        for down in subsets:
+            if all(lower[d] <= down for d in down):
+                above_down = frozenset(labels).intersection(*(upper[d] for d in down))
+                columns.extend(
+                    [1 if x in down else 2 if x in up else 0 for x in labels]
+                    for up in ups
+                    if up <= above_down
+                )
+        columns.sort()
+        for col in columns:
+            rows = tuple(row + (c == 1,) for row, c in zip(below, col))
+            out.append(Pop(k, rows + (tuple(c == 2 for c in col) + (False,),)))
     return out

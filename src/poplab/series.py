@@ -5,7 +5,8 @@ they are integral and as Fractions (denominator above 1) where they are
 not, so a series with integer coefficients is pure int arithmetic and
 ``fractions`` is imported only on the first non-integral value.
 Binary operations truncate to the smaller order of the two operands.
-Everything here is exact; floats never appear.
+Everything here is exact: a coefficient or scalar that is neither an int
+nor a Fraction, a float or a string included, raises TypeError.
 """
 
 from __future__ import annotations
@@ -20,14 +21,17 @@ _Coeff = Union[int, "Fraction"]
 
 
 def _exact(value: object) -> _Coeff:
-    """An int or a rational as a coefficient: an int when integral, else
-    a Fraction with denominator above 1."""
-    if type(value) is int:
-        return value
+    """An int or a Fraction as a coefficient: an int when integral, else
+    a Fraction with denominator above 1.  Anything else, a float or a
+    string included, raises TypeError."""
+    if isinstance(value, int):
+        return int(value)
     from fractions import Fraction
 
     if not isinstance(value, Fraction):
-        value = Fraction(value)
+        raise TypeError(
+            f"series coefficients are ints or Fractions, got {type(value).__name__}"
+        )
     return value.numerator if value.denominator == 1 else value
 
 

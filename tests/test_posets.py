@@ -218,7 +218,7 @@ def brute_pops(k: int) -> set[int]:
     return found
 
 
-@pytest.mark.parametrize("k,count", [(1, 1), (2, 3), (3, 19)])
+@pytest.mark.parametrize("k,count", [(1, 1), (2, 3), (3, 19), (4, 219)])
 def test_enumerate_pops_matches_brute_force(k, count):
     pops = enumerate_pops(k)
     assert len(pops) == count
@@ -231,3 +231,26 @@ def test_enumerate_pops_length_four_count():
 
 def test_enumerate_pops_length_five_count():
     assert len(enumerate_pops(5)) == 4231
+
+
+def pair_status_key(pop: Pop) -> tuple[int, ...]:
+    """Each label pair a < b, taken as (1,2), (1,3), (2,3), (1,4), ...:
+    0 when incomparable, 1 when a lies below b, 2 when a lies above b."""
+    return tuple(
+        1 if pop.less(a, b) else 2 if pop.less(b, a) else 0
+        for b in range(2, pop.k + 1)
+        for a in range(1, b)
+    )
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+def test_enumerate_pops_is_increasing_in_pair_status(k):
+    # Seeded samples of enumerate_pops(5) depend on this order.
+    keys = [pair_status_key(pop) for pop in enumerate_pops(k)]
+    assert all(x < y for x, y in zip(keys, keys[1:]))
+
+
+@pytest.mark.parametrize("k", [0, -1])
+def test_enumerate_pops_refuses_lengths_below_one(k):
+    with pytest.raises(PopError, match=f"at least 1, got {k}"):
+        enumerate_pops(k)

@@ -5,8 +5,8 @@ gives a shorter avoider, so the avoiders form a tree rooted at the
 empty permutation, one child per relative rank of a new last entry
 (the right-append generating tree; West, Discrete Math. 146, 1995).
 A child is kept unless an occurrence ends at its new last entry, as an
-earlier one would have pruned an ancestor.  One depth-first walk to
-depth n_max gives every count for n <= n_max.
+earlier one would have pruned an ancestor.  One walk to depth n_max
+gives every count for n <= n_max.
 
 A node is an avoider in ``bytes``, one per entry, with the bitmask of
 its live ranks: those that no occurrence within its older entries
@@ -17,12 +17,20 @@ only the occurrences whose label k-1 is the node's last entry, for all
 live ranks in one pass.  A child is one ``bytes.translate``, and the
 avoiders of length n_max are counted from their parents' kept ranks.
 
-A parallel count maps the same subtree walk over the nodes at depth
-``SPLIT_DEPTH`` through ``_pool_map``, the only place poplab starts
-processes: it forks its workers with ``os.fork`` and hands them item
-indices through a pipe, so no pool library is imported.  The parts are
-summed in a fixed order, so the result is identical for every job
-count.  All arithmetic is exact.
+The walk runs level by level to the cut, ``CUT_HEIGHT`` levels above
+n_max (the root when n_max <= ``CUT_HEIGHT``), groups the cut nodes by
+key and walks one subtree per key, weighted by the number of nodes
+that share it (Vatter, Combin. Probab. Comput. 17, 2008).  The key of
+a node p of length d holds, for each j = 1..k-1, the occurrences of
+labels 1..j in p, each as the vector over later labels b of the
+new-entry ranks lo..hi that b may take: lo is 1 plus the largest value
+of an earlier label below b, hi the smallest value of one above b (1
+and d+1 where there is none), and a vector inside another is dropped.
+The representatives go through ``_pool_map``, the only place poplab
+starts processes: the parent and the workers it forks with ``os.fork``
+take item indices from one pipe, so no pool library is imported.  The
+parts are summed in order of each key's first appearance, so the
+result is identical for every job count.  All arithmetic is exact.
 """
 
 from __future__ import annotations
@@ -32,7 +40,7 @@ import os
 from collections import defaultdict
 from functools import partial
 from itertools import combinations, permutations, repeat
-from typing import Callable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .perms import Permutation, _compiled_keep
 from .posets import Pop
@@ -40,8 +48,11 @@ from .posets import Pop
 DEFAULT_CEILING = 10
 # Nodes hold each entry in a byte and reach length n-1, so no ceiling may let n pass this.
 MAX_LENGTH = 256
-# Depth of the subtrees that a parallel count hands to its workers.
-SPLIT_DEPTH = 4
+# Levels from the cut, whose nodes are grouped by key, to n_max: of 4, 5
+# and 6, 5 was best or tied at n = 9-12 (BENCH_cut_cache.json).
+CUT_HEIGHT = 5
+# POSIX makes a write of at most this many bytes to a pipe whole or nothing.
+_ATOMIC_WRITE = 512
 
 
 class CeilingExceeded(ValueError):
@@ -114,16 +125,64 @@ def _subtree_counts(pop: Pop, n_max: int, root: _Node) -> list[int]:
     return counts
 
 
+def _cut_key(pop: Pop, perm: bytes) -> tuple[frozenset, ...]:
+    """The key of a node (see the module docstring): for j = 1..k-1, the
+    maximal vectors of rank ranges lo..hi of the labels after j that
+    the occurrences of labels 1..j in ``perm`` allow.
+
+    Nodes of one depth with equal keys have equal subtree counts.  An
+    occurrence in a descendant puts labels 1..j on the node's entries,
+    for some j < k as the node avoids the POP, and labels j+1..k on
+    entries appended later.  A later entry meets the node only through
+    the gap of its values that it falls into, and it can take label b
+    against an occurrence exactly when its gap's rank lies in b's range.
+    So the descendants holding an occurrence are those whose appended
+    entries, as gaps and relative order, fit some vector; a vector
+    inside another adds none, and j = 0 is alike for every node.
+
+    Occurrences grow entry by entry: label j+1 takes a value v with
+    lo <= v < hi of its range, which narrows each later label's range
+    to above or below v as the POP relates them.  So no range empties.
+    """
+    k, below, top = pop.k, pop.below, len(perm) + 1
+    # found[j]: the vectors of the occurrences of labels 1..j in the entries so far.
+    found: list[set] = [{((1, top),) * k}] + [set() for _ in range(k - 1)]
+    sides = [[(below[j][b], below[b][j]) for b in range(j + 1, k)] for j in range(k - 1)]
+    for v in perm:
+        # Longest first, so that no occurrence uses v twice.
+        for j in range(k - 1, 0, -1):
+            for (lo, hi), *ranges in found[j - 1]:
+                if lo <= v < hi:
+                    narrowed = tuple(
+                        (v + 1 if up and lo_b <= v else lo_b, v if down and hi_b > v else hi_b)
+                        for (lo_b, hi_b), (up, down) in zip(ranges, sides[j - 1])
+                    )
+                    found[j].add(narrowed)
+    return tuple(
+        frozenset(u for u in vectors if not any(w != u and _inside(u, w) for w in vectors))
+        for vectors in found[1:]
+    )
+
+
+def _inside(u: tuple, w: tuple) -> bool:
+    """Whether each rank range of ``u`` lies within the same label's range in ``w``."""
+    return all(lo_w <= lo_u and hi_u <= hi_w for (lo_u, hi_u), (lo_w, hi_w) in zip(u, w))
+
+
 def _pool_map(fn: Callable, items: list, jobs: int) -> list:
-    """``list(map(fn, items))``, over min(jobs, len(items)) forked processes
-    if that is > 1.
+    """``list(map(fn, items))``, over min(jobs, len(items)) processes if
+    that is > 1: this one and workers forked from it.
 
     After forking, the parent writes the item indices, 4 bytes each, to
-    one pipe, and each worker reads the next index whenever it is free.
-    At EOF a worker sends back its ``(index, result)`` pairs, pickled, on
-    a pipe of its own.  The exception of the first failing item is raised
-    here, as ``map`` would raise it, and every child is reaped before
-    this returns or raises.
+    one pipe that every process reads the next index from whenever it is
+    free.  The parent holds the pipe's read end, so its writes must not
+    block: whenever the pipe is full, it maps the next unwritten index
+    itself.  Once every index is written, it reads from the pipe like a
+    worker.  At EOF a worker sends back its ``(index, result)`` pairs,
+    pickled, on a pipe of its own.  Each process stops at its first
+    failure; indices go out in order, so the least failing index seen is
+    the first, and its exception is raised here, as ``map`` would raise
+    it.  Every child is reaped before this returns or raises.
     """
     workers = min(jobs, len(items))
     if workers <= 1:
@@ -131,14 +190,13 @@ def _pool_map(fn: Callable, items: list, jobs: int) -> list:
     if not hasattr(os, "fork"):
         raise ValueError(f"jobs={jobs} needs os.fork, which this platform lacks; use 1 job")
     import pickle
-    import signal
 
     # The parent's open pipe ends: the task pipe's two, then each worker's report.
     fds = list(os.pipe())
     pids: list[int] = []
     reported = False
     try:
-        for _ in range(workers):
+        for _ in range(workers - 1):
             fds += os.pipe()
             pid = os.fork()
             if pid == 0:
@@ -146,66 +204,73 @@ def _pool_map(fn: Callable, items: list, jobs: int) -> list:
                 try:
                     for fd in fds[1:-1]:
                         os.close(fd)
-                    _serve(fn, items, fds[0], fds[-1])
+                    done: list = []
+                    failure = _serve(fn, items, _read_indices(fds[0]), done)
+                    with open(fds[-1], "wb") as out:
+                        out.write(pickle.dumps((done, failure)))
                     status = 0
                 finally:
                     os._exit(status)
             pids.append(pid)
             os.close(fds.pop())
+        os.set_blocking(fds[1], False)
+        indices = b"".join(i.to_bytes(4, "little") for i in range(len(items)))
+        done, failure, sent = [], None, 0
+        while sent < len(indices) and failure is None:
+            try:
+                sent += os.write(fds[1], indices[sent : sent + _ATOMIC_WRITE])
+            except BlockingIOError:
+                failure = _serve(fn, items, (sent // 4,), done)
+                sent += 4
+        os.close(fds.pop(1))
+        if failure is None:
+            failure = _serve(fn, items, _read_indices(fds[0]), done)
         os.close(fds.pop(0))
-        # Written only now: a full pipe would block until workers read it.
-        indices = memoryview(b"".join(i.to_bytes(4, "little") for i in range(len(items))))
-        try:
-            while indices:
-                indices = indices[os.write(fds[0], indices):]
-        except BrokenPipeError:
-            pass  # every worker has stopped on a failure, which its report holds
-        os.close(fds.pop(0))
-        results = [None] * len(items)
-        failures = []
+        failures = [failure]
         for fd in fds:
             with open(fd, "rb", closefd=False) as report:
                 data = report.read()
             if not data:
                 raise RuntimeError("a pool worker exited without reporting")
             pairs, failure = pickle.loads(data)
-            for i, value in pairs:
-                results[i] = value
-            if failure is not None:
-                failures.append(failure)
+            done += pairs
+            failures.append(failure)
         reported = True
-        if failures:
-            raise min(failures, key=lambda failure: failure[0])[1]
+        if any(failures):
+            raise min(filter(None, failures), key=lambda failure: failure[0])[1]
+        results = [None] * len(items)
+        for i, value in done:
+            results[i] = value
         return results
     finally:
         for fd in fds:
             os.close(fd)
-        for pid in pids:
-            if not reported:
+        if not reported and pids:
+            import signal
+
+            for pid in pids:
                 os.kill(pid, signal.SIGTERM)
+        for pid in pids:
             os.waitpid(pid, 0)
 
 
-def _serve(fn: Callable, items: list, tasks: int, report: int) -> None:
-    """A pool worker: apply ``fn`` to each item whose index it reads from
-    ``tasks`` until EOF or the first exception, then write the results
-    and the failure, pickled, to ``report``."""
-    import pickle
-
-    done, failure = [], None
-    # Every write and read is whole 4-byte indices, so no read splits one.
+def _read_indices(tasks: int) -> Iterator[int]:
+    """The item indices read from ``tasks`` until EOF; every write and
+    read is whole 4-byte indices, so no read splits one."""
     while chunk := os.read(tasks, 4):
-        i = int.from_bytes(chunk, "little")
+        yield int.from_bytes(chunk, "little")
+
+
+def _serve(fn: Callable, items: list, indices: Iterable[int], done: list) -> tuple | None:
+    """Append ``(i, fn(items[i]))`` to ``done`` for each i of ``indices``
+    up to the first exception; return that failure as ``(i, exception)``,
+    or None."""
+    for i in indices:
         try:
             done.append((i, fn(items[i])))
         except Exception as exc:
-            failure = (i, exc)
-            break
-    # A stopped worker must not hold the task pipe open: once all have
-    # stopped, the parent's write fails instead of blocking.
-    os.close(tasks)
-    with open(report, "wb") as out:
-        out.write(pickle.dumps((done, failure)))
+            return i, exc
+    return None
 
 
 def count_avoiders_prefix(
@@ -213,8 +278,8 @@ def count_avoiders_prefix(
 ) -> CountSequence:
     """Avoidance counts for every length 0..n_max from one tree walk.
 
-    With ``jobs > 1`` the subtrees below depth ``SPLIT_DEPTH`` are
-    counted in a process pool; the counts do not depend on ``jobs``.
+    The subtrees below the cut, one per ``_cut_key``, are walked in a
+    process pool when ``jobs > 1``; the counts do not depend on ``jobs``.
     """
     if n_max > MAX_LENGTH:
         raise ValueError(
@@ -226,14 +291,20 @@ def count_avoiders_prefix(
         return CountSequence(pop, tuple(math.factorial(n) for n in range(n_max + 1)))
     keep = _compiled_keep(pop)
     counts = [0] * (n_max + 1)
-    depth = min(SPLIT_DEPTH, n_max - 1)
+    depth = max(0, n_max - CUT_HEIGHT)
     level: list[_Node] = [(b"", 1 << 1)]
     for m in range(depth):
         counts[m] = len(level)
         level = [c for p, live in level for c in _children(p, keep(p, live))]
     counts[depth] = len(level)
-    parts = _pool_map(partial(_subtree_counts, pop, n_max), level, jobs)
-    return CountSequence(pop, tuple(sum(col) for col in zip(counts, *parts)))
+    # One representative per key, and the number of cut nodes sharing it.
+    groups: dict[tuple, list] = {}
+    for node in level:
+        groups.setdefault(_cut_key(pop, node[0]), [node, 0])[1] += 1
+    parts = _pool_map(partial(_subtree_counts, pop, n_max), [g[0] for g in groups.values()], jobs)
+    for (_, size), part in zip(groups.values(), parts):
+        counts = [c + size * p for c, p in zip(counts, part)]
+    return CountSequence(pop, tuple(counts))
 
 
 def count_avoiders(

@@ -44,8 +44,9 @@ def brute() -> BruteCounter:
 def forks(monkeypatch) -> list[int]:
     """Record every ``os.fork`` and delegate it to the real call; return
     the number of processes each pool forked, one entry per pool, so a
-    test can count pools and workers.  Forks from one ``_pool_map``
-    frame belong to one pool."""
+    test can count pools and workers: a pool of N processes forks N - 1,
+    as the parent is one of them.  Forks from one ``_pool_map`` frame
+    belong to one pool."""
     real_fork = os.fork
     # Holding every frame keeps a finished pool's frame from being reused.
     pools: list[object] = []

@@ -411,10 +411,11 @@ def test_scan_parallel_equals_serial():
 def test_scan_maps_its_orbits_through_one_pool(forks):
     serial = scan_pops(3, 6)
     assert scan_pops(3, 6, jobs=2) == serial
-    assert forks == [2]
-    # At most one worker per orbit, however many jobs are asked for.
+    # The parent is one of a pool's processes, so it forks one fewer.
+    assert forks == [1]
+    # At most one process per orbit, however many jobs are asked for.
     assert scan_pops(3, 6, jobs=1000) == serial
-    assert forks == [2, serial["orbit_count"]]
+    assert forks == [1, serial["orbit_count"] - 1]
 
 
 def test_scan_uses_database_argument(tmp_path, capsys):
@@ -466,9 +467,10 @@ def test_scan_length_seven_is_refused_before_enumerating(monkeypatch, capsys):
 
 def test_jobs_without_fork_is_usage_error(monkeypatch, capsys):
     monkeypatch.delattr(os, "fork")
-    assert main(["count", "k=3; 1>3", "--n", "6", "--jobs", "2"]) == 2
+    # At n = 7 the cut, at depth 2, holds two keys, so a pool would start.
+    assert main(["count", "k=3; 1>3", "--n", "7", "--jobs", "2"]) == 2
     assert "os.fork" in capsys.readouterr().err
-    assert main(["count", "k=3; 1>3", "--n", "6", "--jobs", "1"]) == 0
+    assert main(["count", "k=3; 1>3", "--n", "7", "--jobs", "1"]) == 0
 
 
 def test_scan_past_ceiling_is_usage_error(monkeypatch, capsys):

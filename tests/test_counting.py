@@ -4,16 +4,20 @@ import itertools
 import math
 import os
 import random
+import time
 
 import pytest
 
 import poplab.counting as counting
 import poplab.perms as perms
 from poplab.counting import (
-    SPLIT_DEPTH,
+    CUT_HEIGHT,
     CeilingExceeded,
     CountSequence,
+    _children,
+    _cut_key,
     _pool_map,
+    _subtree_counts,
     count_avoiders,
     count_avoiders_pattern_set,
     count_avoiders_prefix,
@@ -79,14 +83,18 @@ def matcher_source(pop) -> str:
     return sources[0]
 
 
-@pytest.mark.parametrize("k, n", [(4, 8), (5, 7)])
-def test_first_fit_matchers_match_pattern_set_counter(k, n):
-    # A label related to no later one stops at its first fitting position.
+def orbit_reps(k: int) -> list:
+    """The least-encoded POP of each symmetry orbit of length k."""
     orbits = {}
     for pop in enumerate_pops(k):
         orbits.setdefault(canonical_class(pop).code, []).append(pop)
-    reps = [min(orbit, key=lambda p: p.encode()) for orbit in orbits.values()]
-    first_fit = [pop for pop in reps if "break" in matcher_source(pop)]
+    return [min(orbit, key=lambda p: p.encode()) for orbit in orbits.values()]
+
+
+@pytest.mark.parametrize("k, n", [(4, 8), (5, 7)])
+def test_first_fit_matchers_match_pattern_set_counter(k, n):
+    # A label related to no later one stops at its first fitting position.
+    first_fit = [pop for pop in orbit_reps(k) if "break" in matcher_source(pop)]
     assert first_fit
     for pop in first_fit:
         assert count_avoiders(pop, n) == count_avoiders_pattern_set(linear_extensions(pop), n)
@@ -195,27 +203,29 @@ def test_parallel_count_equals_serial():
     pop = parse_pop("k=4; 1>2, 1>3, 4>2, 4>3")
     for n in (5, 7):
         assert count_avoiders(pop, n, jobs=2) == count_avoiders(pop, n)
-    # Whole prefixes, with n_max below, at and above the split depth,
-    # and for a POP longer than n_max.
+    # Whole prefixes, with the cut at the root and just below it, and for
+    # a POP longer than n_max.
     for text in ("k=4; 1>2, 1>3, 4>2, 4>3", "k=3; 1>3", "k=5; 1>5"):
         pop = parse_pop(text)
-        for n_max in (0, 2, SPLIT_DEPTH - 1, SPLIT_DEPTH, SPLIT_DEPTH + 1, 7):
+        for n_max in (0, 2, CUT_HEIGHT, CUT_HEIGHT + 1, CUT_HEIGHT + 2, CUT_HEIGHT + 3):
             serial = count_avoiders_prefix(pop, n_max, jobs=1)
             assert count_avoiders_prefix(pop, n_max, jobs=2) == serial
 
 
 def test_pool_starts_at_most_one_worker_per_subtree(forks):
     pop = parse_pop("k=4; 3>1, 1>2, 3>4")
-    serial = count_avoiders_prefix(pop, 7)
-    assert count_avoiders_prefix(pop, 7, jobs=100_000) == serial
-    assert count_avoiders_prefix(pop, 7, jobs=3) == serial
-    subtrees = serial.counts[SPLIT_DEPTH]
-    assert forks == [subtrees, 3]
+    serial = count_avoiders_prefix(pop, 9)
+    assert count_avoiders_prefix(pop, 9, jobs=100_000) == serial
+    assert count_avoiders_prefix(pop, 9, jobs=3) == serial
+    # The 21 cut nodes, at depth 4, fall into 7 keys.  The parent is one
+    # of a pool's processes, so it forks one fewer.
+    assert serial.counts[9 - CUT_HEIGHT] == 21
+    assert forks == [7 - 1, 3 - 1]
     # A k = 1 POP leaves no subtree and n_max = 1 leaves one: no pool for either.
     empty = parse_pop("k=1;")
-    assert count_avoiders_prefix(empty, 6, jobs=4).counts == (1, 0, 0, 0, 0, 0, 0)
+    assert count_avoiders_prefix(empty, 7, jobs=4).counts == (1, 0, 0, 0, 0, 0, 0, 0)
     assert count_avoiders_prefix(empty, 1, jobs=4).counts == (1, 0)
-    assert forks == [subtrees, 3]
+    assert forks == [6, 2]
 
 
 @pytest.mark.parametrize("error", [ValueError, CeilingExceeded])
@@ -236,6 +246,60 @@ def test_pool_maps_more_indices_than_a_pipe_holds(deadline):
     # 100000 4-byte indices overfill a 64 KiB pipe unless written after forking.
     items = list(range(-50_000, 50_000))
     assert _pool_map(abs, items, 2) == list(map(abs, items))
+
+
+def test_pool_outlives_workers_that_all_fail_at_once(tmp_path, deadline):
+    # Each forked worker fails on its first item.  The parent, one of the
+    # workers, must then map every other item itself, those left in the
+    # full task pipe too, and raise the failure of the least index.
+    parent = os.getpid()
+    waited = False
+
+    def fn(x: int) -> int:
+        nonlocal waited
+        if os.getpid() != parent:
+            (tmp_path / str(os.getpid())).write_text(str(x))
+            raise ValueError(x)
+        while not waited and len(list(tmp_path.iterdir())) < 2:
+            time.sleep(0.001)  # until both workers have taken an item
+        waited = True
+        return x
+
+    with pytest.raises(ValueError) as info:
+        _pool_map(fn, list(range(50_000)), 3)
+    firsts = [int(path.read_text()) for path in tmp_path.iterdir()]
+    assert len(firsts) == 2
+    assert info.value.args == (min(firsts),)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _level(pop, depth: int) -> list:
+    keep = perms._compiled_keep(pop)
+    level = [(b"", 1 << 1)]
+    for _ in range(depth):
+        level = [c for p, live in level for c in _children(p, keep(p, live))]
+    return level
+
+
+def test_equal_cut_keys_give_equal_subtree_counts():
+    # Every POP of length 4, and a seeded sample of the length-5 orbits.
+    for pop in enumerate_pops(4) + random.Random(2208).sample(orbit_reps(5), 40):
+        for depth in range(2, 6):
+            groups = {}
+            for node in _level(pop, depth):
+                groups.setdefault(_cut_key(pop, node[0]), []).append(node)
+            for nodes in groups.values():
+                if len(nodes) > 1:
+                    counts = [_subtree_counts(pop, 8, node) for node in nodes]
+                    assert counts == counts[:1] * len(nodes), (pop, nodes)
+
+
+def test_cut_walk_matches_pattern_set_oracle_at_nine():
+    # At n = 9 the cut holds 21 nodes in 7 keys.
+    pop = parse_pop("k=4; 3>1, 1>2, 3>4")
+    expected = count_avoiders_pattern_set(linear_extensions(pop), 9)
+    assert count_avoiders(pop, 9) == expected == 22431
 
 
 # ----------------------------------------------------------------------

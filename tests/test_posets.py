@@ -250,6 +250,13 @@ def test_enumerate_pops_is_increasing_in_pair_status(k):
     assert all(x < y for x, y in zip(keys, keys[1:]))
 
 
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+def test_enumerate_pops_builds_only_orders_that_pass_every_check(k):
+    # enumerate_pops skips Pop's checks; each order must still pass them.
+    for pop in enumerate_pops(k):
+        assert Pop(pop.k, pop.below) == pop
+
+
 @pytest.mark.parametrize("k", [0, -1])
 def test_enumerate_pops_refuses_lengths_below_one(k):
     with pytest.raises(PopError, match=f"at least 1, got {k}"):

@@ -166,10 +166,10 @@ def scan_pops(
         orbits.setdefault(canonical_class(pop).code, []).append(pop)
     codes = sorted(orbits)
     reps = [min(orbits[code], key=lambda p: p.encode()) for code in codes]
-    texts = [sorted(p.to_text() for p in orbits[code]) for code in codes]
-    for rep, members in zip(reps, texts):
-        if sorted(p.to_text() for p in symmetry_orbit(rep)) != members:
+    for code, rep in zip(codes, reps):
+        if set(symmetry_orbit(rep)) != set(orbits[code]):
             raise AssertionError(f"orbit mismatch for {rep.to_text()}")
+    texts = [sorted(p.to_text() for p in orbits[code]) for code in codes]
 
     # The orbits share one pool; passing jobs on would start a pool per orbit.
     count = partial(count_avoiders_prefix, n_max=n_max)

@@ -27,10 +27,12 @@ new-entry ranks lo..hi that b may take: lo is 1 plus the largest value
 of an earlier label below b, hi the smallest value of one above b (1
 and d+1 where there is none), and a vector inside another is dropped.
 The representatives go through ``_pool_map``, the only place poplab
-starts processes: the parent and the workers it forks with ``os.fork``
-take item indices from one pipe, so no pool library is imported.  The
-parts are summed in order of each key's first appearance, so the
-result is identical for every job count.  All arithmetic is exact.
+starts processes: it names runs of items, one byte each, in a pipe
+before forking, and the parent and the workers it forks with
+``os.fork`` each take the next run from it, so no pool library is
+imported.  The parts are summed in order of each key's first
+appearance, so the result is identical for every job count.  All
+arithmetic is exact.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ import os
 from collections import defaultdict
 from functools import partial
 from itertools import combinations, permutations, repeat
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .perms import Permutation, _compiled_keep
 from .posets import Pop
@@ -51,8 +53,9 @@ MAX_LENGTH = 256
 # Levels from the cut, whose nodes are grouped by key, to n_max: of 4, 5
 # and 6, 5 was best or tied at n = 9-12 (BENCH_cut_cache.json).
 CUT_HEIGHT = 5
-# POSIX makes a write of at most this many bytes to a pipe whole or nothing.
-_ATOMIC_WRITE = 512
+# A pool's most tasks: their numbers, one byte each, fit below POSIX's
+# least PIPE_BUF (512), so one write puts them all in the pipe whole.
+_MAX_TASKS = 256
 
 
 class CeilingExceeded(ValueError):
@@ -170,29 +173,33 @@ def _inside(u: tuple, w: tuple) -> bool:
 
 
 def _pool_map(fn: Callable, items: list, jobs: int) -> list:
-    """``list(map(fn, items))``, over min(jobs, len(items)) processes if
-    that is > 1: this one and workers forked from it.
+    """``list(map(fn, items))``, over min(jobs, tasks) processes if that
+    is > 1: this one and workers forked from it.
 
-    After forking, the parent writes the item indices, 4 bytes each, to
-    one pipe that every process reads the next index from whenever it is
-    free.  The parent holds the pipe's read end, so its writes must not
-    block: whenever the pipe is full, it maps the next unwritten index
-    itself.  Once every index is written, it reads from the pipe like a
-    worker.  At EOF a worker sends back its ``(index, result)`` pairs,
+    The items are cut into at most ``_MAX_TASKS`` tasks, runs of
+    consecutive indices of one length, and the task numbers, one byte
+    each, are written to a pipe in one write before the first fork.  So
+    the write is whole and cannot block, and no read splits a task.
+    Every process, this one too, then reads the next task whenever it is
+    free, until EOF; a worker sends back its ``(index, result)`` pairs,
     pickled, on a pipe of its own.  Each process stops at its first
-    failure; indices go out in order, so the least failing index seen is
+    failure; tasks go out in order, so the least failing index seen is
     the first, and its exception is raised here, as ``map`` would raise
     it.  Every child is reaped before this returns or raises.
     """
-    workers = min(jobs, len(items))
+    size = -(-len(items) // _MAX_TASKS) or 1
+    tasks = -(-len(items) // size)
+    workers = min(jobs, tasks)
     if workers <= 1:
         return list(map(fn, items))
     if not hasattr(os, "fork"):
         raise ValueError(f"jobs={jobs} needs os.fork, which this platform lacks; use 1 job")
     import pickle
 
-    # The parent's open pipe ends: the task pipe's two, then each worker's report.
+    # The parent's open pipe ends: the task pipe's read end, then each worker's report.
     fds = list(os.pipe())
+    os.write(fds[1], bytes(range(tasks)))
+    os.close(fds.pop())
     pids: list[int] = []
     reported = False
     try:
@@ -204,27 +211,14 @@ def _pool_map(fn: Callable, items: list, jobs: int) -> list:
                 try:
                     for fd in fds[1:-1]:
                         os.close(fd)
-                    done: list = []
-                    failure = _serve(fn, items, _read_indices(fds[0]), done)
                     with open(fds[-1], "wb") as out:
-                        out.write(pickle.dumps((done, failure)))
+                        out.write(pickle.dumps(_serve(fn, items, fds[0], size)))
                     status = 0
                 finally:
                     os._exit(status)
             pids.append(pid)
             os.close(fds.pop())
-        os.set_blocking(fds[1], False)
-        indices = b"".join(i.to_bytes(4, "little") for i in range(len(items)))
-        done, failure, sent = [], None, 0
-        while sent < len(indices) and failure is None:
-            try:
-                sent += os.write(fds[1], indices[sent : sent + _ATOMIC_WRITE])
-            except BlockingIOError:
-                failure = _serve(fn, items, (sent // 4,), done)
-                sent += 4
-        os.close(fds.pop(1))
-        if failure is None:
-            failure = _serve(fn, items, _read_indices(fds[0]), done)
+        done, failure = _serve(fn, items, fds[0], size)
         os.close(fds.pop(0))
         failures = [failure]
         for fd in fds:
@@ -254,23 +248,19 @@ def _pool_map(fn: Callable, items: list, jobs: int) -> list:
             os.waitpid(pid, 0)
 
 
-def _read_indices(tasks: int) -> Iterator[int]:
-    """The item indices read from ``tasks`` until EOF; every write and
-    read is whole 4-byte indices, so no read splits one."""
-    while chunk := os.read(tasks, 4):
-        yield int.from_bytes(chunk, "little")
-
-
-def _serve(fn: Callable, items: list, indices: Iterable[int], done: list) -> tuple | None:
-    """Append ``(i, fn(items[i]))`` to ``done`` for each i of ``indices``
-    up to the first exception; return that failure as ``(i, exception)``,
-    or None."""
-    for i in indices:
-        try:
-            done.append((i, fn(items[i])))
-        except Exception as exc:
-            return i, exc
-    return None
+def _serve(fn: Callable, items: list, tasks: int, size: int) -> tuple[list, tuple | None]:
+    """Map each run of ``size`` items whose task number is read from
+    ``tasks``, until EOF or the first exception; return the ``(i,
+    fn(items[i]))`` pairs and that failure as ``(i, exception)``, or None."""
+    done: list = []
+    while task := os.read(tasks, 1):
+        start = task[0] * size
+        for i in range(start, min(start + size, len(items))):
+            try:
+                done.append((i, fn(items[i])))
+            except Exception as exc:
+                return done, (i, exc)
+    return done, None
 
 
 def count_avoiders_prefix(

@@ -4,6 +4,7 @@ import itertools
 import math
 import os
 import random
+import signal
 import time
 
 import pytest
@@ -243,15 +244,61 @@ def test_pool_reraises_the_first_worker_error_and_reaps_every_child(error, deadl
 
 
 def test_pool_maps_more_indices_than_a_pipe_holds(deadline):
-    # 100000 4-byte indices overfill a 64 KiB pipe unless written after forking.
+    # 100000 4-byte indices would overfill a 64 KiB pipe; the pool writes
+    # 256 task numbers, one byte each, for runs of 391 items.
     items = list(range(-50_000, 50_000))
     assert _pool_map(abs, items, 2) == list(map(abs, items))
 
 
+@pytest.mark.parametrize("count", [255, 256, 257, 513, 1000])
+def test_pool_maps_runs_on_both_sides_of_max_tasks(count, deadline):
+    # Up to 256 items, a task is one item; past it, runs of 2, 3 or 4,
+    # the last one shorter where 256 does not divide the count.
+    items = list(range(count))
+    assert _pool_map(str, items, 2) == list(map(str, items))
+    assert _pool_map(str, items, 3) == list(map(str, items))
+    # Of 1000 items, 700 and 701 fail in one run of 4 and 900 in a later one.
+    first = count * 7 // 10
+
+    def fn(x: int) -> int:
+        if x in (first, first + 1, count * 9 // 10):
+            raise ValueError(x)
+        return x
+
+    with pytest.raises(ValueError) as info:
+        _pool_map(fn, items, 2)
+    assert info.value.args == (first,)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_pool_forks_one_worker_fewer_than_its_tasks(monkeypatch, forks):
+    # With 4 tasks, no job count starts more than 4 processes.
+    monkeypatch.setattr(counting, "_MAX_TASKS", 4)
+    items = list(range(1000))
+    assert _pool_map(abs, items, 100) == items
+    assert forks == [3]
+
+
+def test_pool_survives_a_killed_worker(deadline):
+    parent = os.getpid()
+
+    def fn(x: int) -> int:
+        if os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+        time.sleep(0.01)  # so that a worker takes an item
+        return x
+
+    with pytest.raises(RuntimeError, match="a pool worker exited without reporting"):
+        _pool_map(fn, list(range(20)), 2)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 def test_pool_outlives_workers_that_all_fail_at_once(tmp_path, deadline):
-    # Each forked worker fails on its first item.  The parent, one of the
-    # workers, must then map every other item itself, those left in the
-    # full task pipe too, and raise the failure of the least index.
+    # Each forked worker fails on the first item of its first run.  The
+    # parent, one of the workers, must then map every other run itself
+    # and raise the failure of the least index.
     parent = os.getpid()
     waited = False
 

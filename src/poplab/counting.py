@@ -9,13 +9,16 @@ earlier one would have pruned an ancestor.  One walk to depth n_max
 gives every count for n <= n_max.
 
 A node is an avoider in ``bytes``, one per entry, with the bitmask of
-its live ranks: those that no occurrence within its older entries
-forbids, as a prune at a node holds in every descendant (the
-enumeration-scheme idea; Zeilberger, Ann. Comb. 2, 1998).  So
-``perms._compiled_keep``, generated once per POP per process, checks
-only the occurrences whose label k-1 is the node's last entry, for all
-live ranks in one pass.  A child is one ``bytes.translate``, and the
-avoiders of length n_max are counted from their parents' kept ranks.
+its kept ranks: those whose child is an avoider.  A child inherits the
+ranks its parent keeps, as a prune at a node holds in every descendant
+(the enumeration-scheme idea; Zeilberger, Ann. Comb. 2, 1998), less
+those at which a next entry completes an occurrence whose label k-1 is
+the child's own last entry.  So ``perms._compiled_board``, generated
+once per POP per process, gives every child's kept ranks in one call
+per node, one row of bits per child, from one pass over the node's
+entries.  A child is one ``bytes.translate``, and the avoiders of the
+last two lengths are counted from their parents' kept ranks, so the
+nodes one level above n_max get no call.
 
 The walk runs level by level to the cut, ``CUT_HEIGHT`` levels above
 n_max (the root when n_max <= ``CUT_HEIGHT``), groups the cut nodes by
@@ -44,7 +47,7 @@ from functools import partial
 from itertools import combinations, permutations, repeat
 from typing import Callable, Iterator, NamedTuple, Sequence
 
-from .perms import Permutation, _compiled_keep
+from .perms import Permutation, _compiled_board
 from .posets import Pop
 
 DEFAULT_CEILING = 10
@@ -93,7 +96,7 @@ class CountSequence(NamedTuple):
         return self.counts[1:]
 
 
-# A tree node: an avoider and the bitmask of its active sites (bit r for rank r).
+# A tree node: an avoider and the bitmask of its kept ranks (bit r for rank r).
 _Node = tuple[bytes, int]
 _BYTES = bytes(range(256))
 # Appending rank r: _SHIFT[r] maps each old value v to v + (v >= r).
@@ -101,28 +104,30 @@ _SHIFT = [_BYTES[:r] + _BYTES[r + 1 :] + _BYTES[:1] for r in range(256)]
 _LAST = [_BYTES[r : r + 1] for r in range(256)]
 
 
-def _children(perm: bytes, kept: int) -> Iterator[_Node]:
-    """The child of each rank r in ``kept``: it keeps s <= r and s + 1 for s >= r."""
+def _children(board: Callable[[bytes, int], int], perm: bytes, kept: int) -> Iterator[_Node]:
+    """The child of each rank r in ``kept``, with row r of ``board(perm, kept)``."""
+    rows, width = board(perm, kept), len(perm) + 3
+    row = (1 << width) - 1
     for r in range(1, len(perm) + 2):
+        rows >>= width
         if kept >> r & 1:
-            low = kept & ((2 << r) - 1)
-            yield perm.translate(_SHIFT[r]) + _LAST[r], low | ((kept >> r) << (r + 1))
+            yield perm.translate(_SHIFT[r]) + _LAST[r], rows & row
 
 
 def _subtree_counts(pop: Pop, n_max: int, root: _Node) -> list[int]:
     """``counts[m]``: avoiders of length m strictly below ``root``, for
-    m = 0..n_max; the avoiders of length n_max are counted, not built."""
-    keep = _compiled_keep(pop)
+    m = 0..n_max; the avoiders of the last two lengths are counted from
+    their parents' kept ranks, not built."""
+    board = _compiled_board(pop)
     counts = [0] * (n_max + 1)
 
-    def walk(perm: bytes, live: int) -> None:
-        kept = keep(perm, live)
+    def walk(perm: bytes, kept: int) -> None:
         counts[len(perm) + 1] += kept.bit_count()
         if len(perm) + 3 <= n_max:
-            for child in _children(perm, kept):
+            for child in _children(board, perm, kept):
                 walk(*child)
         elif len(perm) + 2 == n_max:
-            counts[n_max] += sum(keep(*child).bit_count() for child in _children(perm, kept))
+            counts[n_max] += board(perm, kept).bit_count()
 
     walk(*root)
     return counts
@@ -279,13 +284,14 @@ def count_avoiders_prefix(
     _check_length(n_max, ceiling)
     if pop.k > n_max:
         return CountSequence(pop, tuple(math.factorial(n) for n in range(n_max + 1)))
-    keep = _compiled_keep(pop)
+    board = _compiled_board(pop)
     counts = [0] * (n_max + 1)
     depth = max(0, n_max - CUT_HEIGHT)
-    level: list[_Node] = [(b"", 1 << 1)]
+    # The root: the empty permutation, whose child of rank 1 is an avoider unless k = 1.
+    level: list[_Node] = [(b"", 1 << 1 if pop.k > 1 else 0)]
     for m in range(depth):
         counts[m] = len(level)
-        level = [c for p, live in level for c in _children(p, keep(p, live))]
+        level = [c for node in level for c in _children(board, *node)]
     counts[depth] = len(level)
     # One representative per key, and the number of cut nodes sharing it.
     groups: dict[tuple, list] = {}

@@ -71,7 +71,7 @@ def test_pruned_counter_matches_pattern_set_counter(pop_text):
 
 
 def matcher_source(pop) -> str:
-    """The source that ``_compiled_keep`` generates for ``pop``."""
+    """The source that ``_compiled_board`` generates for ``pop``."""
     sources = []
 
     def spy(source, namespace):
@@ -80,7 +80,7 @@ def matcher_source(pop) -> str:
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(perms, "exec", spy, raising=False)
-        perms._compiled_keep.__wrapped__(pop)
+        perms._compiled_board.__wrapped__(pop)
     return sources[0]
 
 
@@ -122,7 +122,7 @@ def test_pattern_set_counter_uses_no_engine_part(monkeypatch):
     def engine_part(*args, **kwargs):
         raise AssertionError("the pattern-set counter called the engine")
 
-    for name in ("_compiled_keep", "_subtree_counts", "_children"):
+    for name in ("_compiled_board", "_subtree_counts", "_children"):
         monkeypatch.setattr(counting, name, engine_part)
     patterns = [Permutation.from_text(t) for t in ("2431", "4231", "4321")]
     counts = [count_avoiders_pattern_set(patterns, n) for n in range(1, 9)]
@@ -322,10 +322,10 @@ def test_pool_outlives_workers_that_all_fail_at_once(tmp_path, deadline):
 
 
 def _level(pop, depth: int) -> list:
-    keep = perms._compiled_keep(pop)
-    level = [(b"", 1 << 1)]
+    board = perms._compiled_board(pop)
+    level = [(b"", 1 << 1 if pop.k > 1 else 0)]
     for _ in range(depth):
-        level = [c for p, live in level for c in _children(p, keep(p, live))]
+        level = [c for node in level for c in _children(board, *node)]
     return level
 
 

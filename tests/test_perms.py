@@ -6,7 +6,7 @@ import pytest
 
 from poplab.perms import (
     Permutation,
-    _compiled_keep,
+    _compiled_board,
     contains_pop_ending_at_last,
     has_cycle_interval_property,
     standardize,
@@ -220,19 +220,22 @@ def chain_pop(k: int):
 
 
 def test_matcher_short_parent_and_single_label():
-    keep = _compiled_keep(chain_pop(4))
-    # Fewer than k - 1 entries hold no occurrence: every live rank stays.
-    assert keep([], 0b10) == 0b10
-    assert keep([2, 1], 0b1010) == 0b1010
-    # 3, 2, 1 as labels 1..3 forbids exactly rank 1 for label 4.
-    assert keep([3, 2, 1], 0b11110) == 0b11100
+    board = _compiled_board(chain_pop(4))
+    # Fewer than k - 2 entries hold no occurrence: the child of rank 1
+    # inherits ranks 1 and 2 (rows are m + 3 bits wide).
+    assert board([], 0b10) == 0b110 << 3
+    # 2, 1 and a new last entry 1 are labels 1..3, so rank 1 is forbidden
+    # below that child; the children of ranks 2 and 3 keep every rank.
+    assert board([2, 1], 0b1110) == 0b11100 << 5 | 0b11110 << 10 | 0b11110 << 15
+    # Ranks missing from ``kept`` stay missing, and their rows are empty.
+    assert board([2, 1], 0b0110) == 0b1100 << 5 | 0b1110 << 10
     # One label: every new entry is an occurrence, with no label to pin.
-    assert _compiled_keep(parse_pop("k=1;"))([2, 1], 0b1110) == 0
+    assert _compiled_board(parse_pop("k=1;"))([2, 1], 0b1110) == 0
     assert contains_pop_ending_at_last(Permutation((1,)), parse_pop("k=1;"))
 
 
 def test_matcher_label_limit():
-    # The matcher nests one loop per label below k - 1 and refuses k > 21.
+    # The board nests one loop per label below k - 1 and refuses k > 21.
     assert contains_pop_ending_at_last(Permutation(range(21, 0, -1)), chain_pop(21))
     assert not contains_pop_ending_at_last(Permutation((3, 1, 2)), chain_pop(22))
     with pytest.raises(ValueError, match="at most 21 labels"):

@@ -14,7 +14,7 @@ from poplab.counting import (
     count_avoiders_prefix,
     naive_count_avoiders,
 )
-from poplab.perms import Permutation, _compiled_keep, contains_pop_ending_at_last
+from poplab.perms import Permutation, _compiled_board, contains_pop_ending_at_last
 from poplab.posets import Pop, linear_extensions, symmetry_orbit
 
 pytest.importorskip("hypothesis")
@@ -92,49 +92,67 @@ def _child(parent: Permutation, r: int) -> Permutation:
     return Permutation([v + (v >= r) for v in parent] + [r])
 
 
+def _spread(kept: int, r: int) -> int:
+    """The ranks the child of rank r inherits from its parent's ``kept``."""
+    return (kept & ((2 << r) - 1)) | ((kept >> r) << (r + 1))
+
+
+def _row(board: int, r: int, m: int) -> int:
+    """Row r of a board for a parent of length m."""
+    return board >> (r * (m + 3)) & ((1 << (m + 3)) - 1)
+
+
 @_settings(400)
 @given(pops(), permutations_up_to(7), st.data())
 def test_kept_rank_matcher_matches_occurrence_oracle(pop, parent, data):
-    """``keep(parent, live)`` on any set of live ranks, holes included: a
-    rank survives exactly when its child has no occurrence that ends last
-    with label k-1 at position m, the parent's last entry."""
+    """``board(parent, kept)`` on any set of kept ranks, holes included:
+    row r, for r kept, holds the ranks s the child of rank r inherits at
+    which its own child has no occurrence that ends last with label k-1
+    at position m + 1, the child's last entry; the other rows are 0."""
     m = parent.n
-    ranks = data.draw(st.sets(st.integers(1, m + 1)))
-    expected = set()
-    for r in ranks:
-        if all(
-            occ[-1] != m + 1 or (pop.k > 1 and occ[-2] != m)
-            for occ in _child(parent, r).pop_occurrences(pop)
-        ):
-            expected.add(r)
-    live = sum(1 << r for r in ranks)
-    kept = _compiled_keep(pop)(list(parent.values), live)
-    assert kept == sum(1 << r for r in expected)
+    kept = sum(1 << r for r in data.draw(st.sets(st.integers(1, m + 1))))
+    board = _compiled_board(pop)(list(parent.values), kept)
+    assert board < 1 << ((m + 2) * (m + 3))
+    for r in range(m + 2):
+        expected = set()
+        if kept >> r & 1:
+            child = _child(parent, r)
+            for s in range(1, m + 3):
+                if _spread(kept, r) >> s & 1 and all(
+                    occ[-1] != m + 2 or (pop.k > 1 and occ[-2] != m + 1)
+                    for occ in _child(child, s).pop_occurrences(pop)
+                ):
+                    expected.add(s)
+        assert _row(board, r, m) == sum(1 << s for s in expected)
 
 
 @_settings(200)
 @given(pops(), permutations_up_to(7))
 def test_prefix_chain_masks_hold_the_ranks_older_occurrences_leave(pop, perm):
-    """Following ``perm``'s prefixes from the root with ``keep`` and the
-    engine's child step leaves, at ``perm``, the rank r live exactly when
-    no occurrence ends at the child's last entry with its other labels
-    inside the first m-1 entries: the invariant that lets ``keep`` pin
-    label k-1 to the parent's last entry."""
-    keep = _compiled_keep(pop)
+    """Following ``perm``'s prefixes from the root, each taking its row of
+    its parent's board, leaves at every prefix q the rank r kept exactly
+    when no occurrence of q + r ends at its last entry: the invariant
+    that lets the board pin label k-1 to each child's last entry.  The
+    engine reaches only prefixes whose rank was kept; past the first
+    that was not, the chain goes on as ``contains_pop_ending_at_last``
+    does, adding the rank to the parent's mask and cutting the row to the
+    ranks the prefix inherits."""
+    board = _compiled_board(pop)
     vals = perm.values
-    parent, live = [], 1 << 1
-    for j, v in enumerate(vals):
-        kept = keep(parent, live)
-        r = 1 + sum(u < v for u in vals[:j])
-        live = (kept & ((2 << r) - 1)) | ((kept >> r) << (r + 1))
-        parent = [u + (u >= r) for u in parent] + [r]
-    m = perm.n
-    expected = {
-        r
-        for r in range(1, m + 2)
-        if all(
-            occ[-1] != m + 1 or max(occ[:-1], default=0) >= m
-            for occ in _child(perm, r).pop_occurrences(pop)
-        )
-    }
-    assert live == sum(1 << r for r in expected)
+    parent, kept, reached = [], 1 << 1 if pop.k > 1 else 0, True
+    for j in range(perm.n + 1):
+        q = Permutation(parent)
+        expected = {
+            r
+            for r in range(1, j + 2)
+            if all(occ[-1] != j + 1 for occ in _child(q, r).pop_occurrences(pop))
+        }
+        assert kept == sum(1 << r for r in expected)
+        if j == perm.n:
+            break
+        r = 1 + sum(u < vals[j] for u in vals[:j])
+        reached = reached and bool(kept >> r & 1)
+        row = _row(board(parent, kept | 1 << r), r, j) & _spread(kept, r)
+        if reached:
+            assert row == _row(board(parent, kept), r, j)
+        kept, parent = row, [u + (u >= r) for u in parent] + [r]

@@ -26,6 +26,7 @@ from typing import TYPE_CHECKING
 
 from .counting import (
     DEFAULT_CEILING,
+    _check_jobs,
     _check_length,
     _pool_map,
     count_avoiders,
@@ -154,6 +155,7 @@ def scan_pops(
     permutations.  Grouping different orbits with equal counts is only
     empirical at the computed range.
     """
+    _check_jobs(jobs)
     if length > MAX_SCAN_LENGTH:
         raise ValueError(
             f"scan supports POP lengths up to {MAX_SCAN_LENGTH}, got {length}; "

@@ -16,14 +16,13 @@ those at which a next entry completes an occurrence whose label k-1 is
 the child's own last entry.  So ``perms._compiled_board``, generated
 once per POP per process, gives every child's kept ranks in one call
 per node, one row of bits per child, from one pass over the node's
-entries.  A child is one ``bytes.translate``, and the avoiders of the
-last two lengths are counted from their parents' kept ranks, so the
-nodes one level above n_max get no call.
+entries, and a child is one ``bytes.translate``.
 
-The walk runs level by level to the cut, ``CUT_HEIGHT`` levels above
-n_max (the root when n_max <= ``CUT_HEIGHT``), groups the cut nodes by
-key and walks one subtree per key, weighted by the number of nodes
-that share it (Vatter, Combin. Probab. Comput. 17, 2008).  The key of
+One level loop, ``_walk``, walks the tree to the cut, ``CUT_HEIGHT``
+levels above n_max (the root when n_max <= ``CUT_HEIGHT``), and on from
+one cut node per key, weighted by the number of cut nodes that share it
+(Vatter, Combin. Probab. Comput. 17, 2008); below a cut node of length
+d no level holds more than (d+1)(d+2)(d+3) nodes.  The key of
 a node p of length d holds, for each j = 1..k-1, the occurrences of
 labels 1..j in p, each as the vector over later labels b of the
 new-entry ranks lo..hi that b may take: lo is 1 plus the largest value
@@ -82,6 +81,12 @@ def _check_length(n: int, ceiling: int) -> None:
         raise CeilingExceeded(n, ceiling)
 
 
+def _check_jobs(jobs: int) -> None:
+    """Refuse a job count that is not an int of at least 1."""
+    if not isinstance(jobs, int) or jobs < 1:
+        raise ValueError(f"jobs must be an int of at least 1, got {jobs!r}")
+
+
 class CountSequence(NamedTuple):
     """Avoidance counts ``counts[n]`` for n = 0..n_max of one POP."""
 
@@ -114,22 +119,26 @@ def _children(board: Callable[[bytes, int], int], perm: bytes, kept: int) -> Ite
             yield perm.translate(_SHIFT[r]) + _LAST[r], rows & row
 
 
+def _walk(board: Callable, level: list[_Node], counts: list[int], stop: int) -> list[_Node]:
+    """Walk ``level``, nodes of one length d, down to length ``stop``
+    and return the level there, adding the kept ranks of the level of
+    each length m to ``counts[m + 1]``.  At m = n_max - 2, n_max being
+    ``len(counts) - 1``, the level's boards give ``counts[n_max]`` and
+    no level is returned: the last two lengths are not built."""
+    n_max = len(counts) - 1
+    for m in range(len(level[0][0]), stop):
+        counts[m + 1] += sum(kept.bit_count() for _, kept in level)
+        if m == n_max - 2:
+            counts[n_max] += sum(board(*node).bit_count() for node in level)
+            return []
+        level = [c for node in level for c in _children(board, *node)]
+    return level
+
+
 def _subtree_counts(pop: Pop, n_max: int, root: _Node) -> list[int]:
-    """``counts[m]``: avoiders of length m strictly below ``root``, for
-    m = 0..n_max; the avoiders of the last two lengths are counted from
-    their parents' kept ranks, not built."""
-    board = _compiled_board(pop)
+    """``counts[m]``: avoiders of length m strictly below ``root``, for m = 0..n_max."""
     counts = [0] * (n_max + 1)
-
-    def walk(perm: bytes, kept: int) -> None:
-        counts[len(perm) + 1] += kept.bit_count()
-        if len(perm) + 3 <= n_max:
-            for child in _children(board, perm, kept):
-                walk(*child)
-        elif len(perm) + 2 == n_max:
-            counts[n_max] += board(perm, kept).bit_count()
-
-    walk(*root)
+    _walk(_compiled_board(pop), [root], counts, n_max)
     return counts
 
 
@@ -276,6 +285,7 @@ def count_avoiders_prefix(
     The subtrees below the cut, one per ``_cut_key``, are walked in a
     process pool when ``jobs > 1``; the counts do not depend on ``jobs``.
     """
+    _check_jobs(jobs)
     if n_max > MAX_LENGTH:
         raise ValueError(
             f"refusing to count at n={n_max}: lengths above {MAX_LENGTH} are refused "
@@ -284,15 +294,10 @@ def count_avoiders_prefix(
     _check_length(n_max, ceiling)
     if pop.k > n_max:
         return CountSequence(pop, tuple(math.factorial(n) for n in range(n_max + 1)))
-    board = _compiled_board(pop)
-    counts = [0] * (n_max + 1)
-    depth = max(0, n_max - CUT_HEIGHT)
+    counts = [1] + [0] * n_max
     # The root: the empty permutation, whose child of rank 1 is an avoider unless k = 1.
-    level: list[_Node] = [(b"", 1 << 1 if pop.k > 1 else 0)]
-    for m in range(depth):
-        counts[m] = len(level)
-        level = [c for node in level for c in _children(board, *node)]
-    counts[depth] = len(level)
+    root = (b"", 1 << 1 if pop.k > 1 else 0)
+    level = _walk(_compiled_board(pop), [root], counts, max(0, n_max - CUT_HEIGHT))
     # One representative per key, and the number of cut nodes sharing it.
     groups: dict[tuple, list] = {}
     for node in level:

@@ -127,10 +127,7 @@ class Permutation:
     def cycle_canonical_flatten(self) -> "Permutation":
         """Write each cycle largest element first, sort cycles by largest
         element, and read off the concatenation as a new permutation."""
-        flat: list[int] = []
-        for cyc in self.cycles():
-            flat.extend(cyc)
-        return Permutation(flat)
+        return Permutation(v for cyc in self.cycles() for v in cyc)
 
     def max_cycle_interval_width(self) -> int:
         """The largest value of max(c) - min(c) + 1 over all cycles c.
@@ -139,12 +136,7 @@ class Permutation:
         cycle inside an interval of at most w integers exactly when this
         width is at most w.
         """
-        width = 0
-        for cyc in self.cycles():
-            span = cyc[0] - min(cyc) + 1
-            if span > width:
-                width = span
-        return width
+        return max((cyc[0] - min(cyc) + 1 for cyc in self.cycles()), default=0)
 
     # ------------------------------------------------------------------
     # Containment

@@ -454,6 +454,16 @@ def test_scan_jobs_below_one_is_usage_error(capsys):
     assert "--jobs" in captured.err
 
 
+@pytest.mark.parametrize("jobs", [0, -2, 1.5])
+def test_scan_pops_refuses_a_bad_jobs_before_enumerating(jobs, monkeypatch):
+    def enumerate_pops(length):
+        raise AssertionError("scan enumerated POPs")
+
+    monkeypatch.setattr(cli, "enumerate_pops", enumerate_pops)
+    with pytest.raises(ValueError, match=f"jobs must be an int of at least 1, got {jobs}"):
+        scan_pops(3, 5, jobs=jobs)
+
+
 def test_scan_length_seven_is_refused_before_enumerating(monkeypatch, capsys):
     def enumerate_pops(length):
         raise AssertionError("scan enumerated POPs")

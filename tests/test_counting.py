@@ -15,10 +15,10 @@ from poplab.counting import (
     CUT_HEIGHT,
     CeilingExceeded,
     CountSequence,
-    _children,
     _cut_key,
     _pool_map,
     _subtree_counts,
+    _walk,
     count_avoiders,
     count_avoiders_pattern_set,
     count_avoiders_prefix,
@@ -122,7 +122,7 @@ def test_pattern_set_counter_uses_no_engine_part(monkeypatch):
     def engine_part(*args, **kwargs):
         raise AssertionError("the pattern-set counter called the engine")
 
-    for name in ("_compiled_board", "_subtree_counts", "_children"):
+    for name in ("_compiled_board", "_walk", "_subtree_counts", "_children"):
         monkeypatch.setattr(counting, name, engine_part)
     patterns = [Permutation.from_text(t) for t in ("2431", "4231", "4321")]
     counts = [count_avoiders_pattern_set(patterns, n) for n in range(1, 9)]
@@ -211,6 +211,19 @@ def test_parallel_count_equals_serial():
         for n_max in (0, 2, CUT_HEIGHT, CUT_HEIGHT + 1, CUT_HEIGHT + 2, CUT_HEIGHT + 3):
             serial = count_avoiders_prefix(pop, n_max, jobs=1)
             assert count_avoiders_prefix(pop, n_max, jobs=2) == serial
+
+
+@pytest.mark.parametrize("jobs", [0, -2, 1.5])
+def test_count_refuses_a_bad_jobs_before_any_work(jobs, monkeypatch):
+    def engine_part(*args, **kwargs):
+        raise AssertionError("counted before refusing jobs")
+
+    monkeypatch.setattr(counting, "_compiled_board", engine_part)
+    # k = 5 > n_max = 3 is counted as 3! with no walk, and is refused too.
+    for text, n in (("k=4; 1>2, 1>3", 9), ("k=5; 1>5", 3)):
+        for count in (count_avoiders_prefix, count_avoiders):
+            with pytest.raises(ValueError, match=f"jobs must be an int of at least 1, got {jobs}"):
+                count(parse_pop(text), n, jobs=jobs)
 
 
 def test_pool_starts_at_most_one_worker_per_subtree(forks):
@@ -322,11 +335,16 @@ def test_pool_outlives_workers_that_all_fail_at_once(tmp_path, deadline):
 
 
 def _level(pop, depth: int) -> list:
-    board = perms._compiled_board(pop)
-    level = [(b"", 1 << 1 if pop.k > 1 else 0)]
-    for _ in range(depth):
-        level = [c for node in level for c in _children(board, *node)]
-    return level
+    # Counts that reach two lengths past depth, so that every level to it is built.
+    root = (b"", 1 << 1 if pop.k > 1 else 0)
+    return _walk(perms._compiled_board(pop), [root], [0] * (depth + 3), depth)
+
+
+def test_walk_levels_hold_the_counts():
+    # Every POP of length 4, and a seeded sample of the length-5 orbits.
+    for pop in enumerate_pops(4) + random.Random(2511).sample(orbit_reps(5), 40):
+        counts = count_avoiders_prefix(pop, 6).counts
+        assert [len(_level(pop, depth)) for depth in range(7)] == list(counts), pop
 
 
 def test_equal_cut_keys_give_equal_subtree_counts():

@@ -18,13 +18,12 @@ from __future__ import annotations
 import importlib
 
 _SUBMODULE_NAMES = {
-    "counting": """CeilingExceeded CountSequence count_avoiders
-        count_avoiders_pattern_set count_avoiders_prefix
+    "counting": """CeilingExceeded CountSequence contains_pop_ending_at_last
+        count_avoiders count_avoiders_pattern_set count_avoiders_prefix
         count_cycle_interval_perms naive_count_avoiders""",
     "oeis": """Match OeisDb OeisError OeisFormatWarning bundled_path
         load_stripped match_sequence match_sequences resolve_db""",
-    "perms": """Permutation contains_pop_ending_at_last
-        has_cycle_interval_property standardize""",
+    "perms": "Permutation has_cycle_interval_property standardize",
     "posets": """ClassKey Pop PopError antichain canonical_class dual
         enumerate_pops label_complement linear_extensions parse_pop
         symmetry_orbit""",

@@ -1,6 +1,6 @@
-"""Permutations, classical pattern containment, and cycle utilities,
-and the board that the counting engine generates for each POP: the
-kept ranks of every child of a tree node in one call.
+"""Permutations: classical pattern and POP containment, occurrence
+listing, symmetries and cycle utilities.  The counting engine's board
+lives in ``counting``; nothing here is generated.
 
 Conventions:
     * A permutation of length n is a rearrangement of the values 1..n.
@@ -11,10 +11,9 @@ Conventions:
 
 from __future__ import annotations
 
-from functools import lru_cache
 from itertools import combinations
 from operator import index
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 if TYPE_CHECKING:
     from .posets import Pop
@@ -216,172 +215,3 @@ def has_cycle_interval_property(perm: Permutation, k: int) -> bool:
     if k < 2:
         raise ValueError(f"k must be at least 2, got {k}")
     return perm.max_cycle_interval_width() <= k - 1
-
-
-# CPython compiles at most 20 statically nested loops; the board nests k - 2.
-MAX_COMPILED_K = 21
-
-
-class _Regions(dict):
-    """``regions[rel, a, b, lo, hi]``, filled on first use: the (r, s)
-    pairs, as bit s of row r (rows of m + 3 bits), that one occurrence
-    of labels 1..k-2 in a parent of length m forbids.  Label k-1 is the
-    new entry of child rank r, for a < r <= b; label k is the next new
-    entry, of rank s in that child, where the child holds each old value
-    v >= r as v + 1.  ``lo`` (``hi``) is the largest (smallest) old
-    value placed below (above) label k, 0 (m + 1) if none; ``rel`` is 1
-    when label k-1 lies below label k, 2 when above, 0 when unrelated."""
-
-    def __init__(self, m: int):
-        self.width = m + 3
-
-    def __missing__(self, key: tuple[int, ...]) -> int:
-        rel, a, b, lo, hi = key
-        region = 0
-        for r in range(a + 1, b + 1):
-            low, high = lo + (lo >= r), hi + (hi >= r)
-            if rel == 1:
-                low = max(low, r)
-            elif rel == 2:
-                high = min(high, r)
-            region |= ((2 << high) - (2 << low)) << (r * self.width)
-        self[key] = region
-        return region
-
-
-class _Rows(dict):
-    """``_ROWS[m]``, built on first use: for parents of length m, with
-    rows r = 1..m+1 of W = m + 3 bits, the multiplier and the mask of
-    row starts that turn a mask of ranks r into bit r * W for each, the
-    masks of bits s <= r and s >= r in each row r, and the ``_Regions``
-    that every POP shares."""
-
-    def __missing__(self, m: int) -> tuple:
-        width = m + 3
-        starts = _repeat(width, m + 1) << width
-        diagonal = _repeat(width + 1, m + 1) << (width + 1)  # bit r of each row r
-        self[m] = value = (
-            _repeat(width - 1, m + 2),
-            starts,
-            2 * diagonal - starts,
-            (starts << width) - diagonal,
-            _Regions(m),
-        )
-        return value
-
-
-def _repeat(step: int, count: int) -> int:
-    """Bits 0, step, 2 * step, ..., (count - 1) * step."""
-    return ((1 << (step * count)) - 1) // ((1 << step) - 1)
-
-
-_ROWS = _Rows()
-
-
-@lru_cache(maxsize=1024)
-def _compiled_board(pop: "Pop") -> Callable[[Sequence[int], int], int]:
-    """Generate ``board(parent, kept)`` for ``pop``, once per POP: the
-    kept ranks of every child of ``parent`` at once, where ``kept``
-    holds the parent's.  Row r of the result, bits r * W .. r * W + W - 1
-    with W = m + 3 for a parent of length m, is the kept mask of the
-    child of rank r, and 0 for r not in ``kept``.  It is the child's
-    inherited ranks (``kept`` with each s >= r moved up to s + 1, as
-    s <= r and s + 1 for s >= r stay live) less the ranks at which a
-    next entry completes an occurrence whose label k-1 is the child's
-    last entry.  Labels 1..k-2 get one nested loop each over the parent,
-    with the order checks inlined, so every child's occurrences come
-    from one pass.  An occurrence lets label k-1 take the child ranks
-    a+1..b, a (b) being its largest (smallest) value below (above) k-1,
-    and a level is skipped when ``kept`` holds none of them; what it
-    forbids is looked up in ``_Regions``.  A label related to no later
-    one stops at its first fit: no later test reads it, and a later
-    position only narrows the later labels' positions."""
-    k, below = pop.k, pop.below
-    if k > MAX_COMPILED_K:
-        raise ValueError(
-            f"the compiled matcher handles POPs of at most {MAX_COMPILED_K} labels, got k={k}"
-        )
-    if k == 1:
-        return lambda parent, kept: 0
-    pin = k - 2
-    rel = 1 if below[pin][k - 1] else 2 if below[k - 1][pin] else 0
-    # Each side, a and lo below labels k-1 and k, b and hi above them: the
-    # label it bounds, whether it holds the largest value (else the
-    # smallest), the placed labels that can set it (label k-1 sets one
-    # side of k in the region itself) and the expression of its value.
-    sides = {
-        "a": (pin, True, [], "0"),
-        "b": (pin, False, [], "m + 1"),
-        "lo": (k - 1, True, [pin] if rel == 1 else [], "0"),
-        "hi": (k - 1, False, [pin] if rel == 2 else [], "m + 1"),
-    }
-    bound = {side: start for side, (*_, start) in sides.items()}
-    lines = ["def board(p, kept):", "    m = len(p)"]
-    lines += ["    ones, diag, low, high, regions = _ROWS[m]"]
-    lines += ["    spread = kept * (kept * ones & diag)"]
-    lines += ["    allowed = spread & low | (spread & high) << 1", "    forbid = 0"]
-    pad = "    "
-    breaks = []
-    for j in range(pin):
-        start = f"i{j - 1} + 1" if j else "0"
-        end = f"m - {pin - 1 - j}" if j < pin - 1 else "m"
-        lines.append(f"{pad}for i{j} in range({start}, {end}):")
-        lines.append(f"{pad}    v{j} = p[i{j}]")
-        pad += "    "
-        # A relation that a placed label between the two implies needs no test.
-        tests = [
-            f"v{j} {'<' if below[j][i] else '>'} v{i}"
-            for i in range(j)
-            if (below[j][i] or below[i][j])
-            and not any(below[j][h] and below[h][i] or below[i][h] and below[h][j] for h in range(j))
-        ]
-        if tests:
-            lines.append(f"{pad}if {' and '.join(tests)}:")
-            pad += "    "
-        moved = False
-        for side, (label, largest, setters, _) in sides.items():
-            # beyond(x, y): x's value lies past y's on this side, by the order.
-            beyond = (lambda x, y: below[y][x]) if largest else (lambda x, y: below[x][y])
-            if not beyond(label, j) or any(beyond(i, j) for i in setters):
-                continue
-            setters[:] = [i for i in setters if not beyond(j, i)] + [j]
-            if [i for i in setters if i != pin] == [j]:
-                bound[side] = f"v{j}"
-            else:
-                cmp, old = ">" if largest else "<", bound[side]
-                lines.append(f"{pad}{side}{j} = v{j} if v{j} {cmp} {old} else {old}")
-                bound[side] = f"{side}{j}"
-            moved = moved or label == pin
-        if moved:
-            lines.append(f"{pad}if kept & ((2 << {bound['b']}) - (2 << {bound['a']})):")
-            pad += "    "
-        if not any(below[j][i] or below[i][j] for i in range(j + 1, k)):
-            breaks.append(f"{pad}break")
-    key = ", ".join([str(rel)] + [bound[side] for side in sides])
-    lines += [f"{pad}forbid |= regions[{key}]", *reversed(breaks)]
-    lines += ["    return allowed & ~forbid"]
-    namespace: dict = {"_ROWS": _ROWS}
-    exec("\n".join(lines), namespace)
-    return namespace["board"]
-
-
-def contains_pop_ending_at_last(perm: Permutation, pop: "Pop") -> bool:
-    """True when some occurrence of ``pop`` ends at the last entry of
-    ``perm``.  Each call replays the engine's board along the whole path
-    of ``perm``'s prefixes, one ``board`` call per entry, so asking
-    after every new entry of a growing permutation costs O(n^2) calls.
-    A prefix's own rank is added to the mask it passes, so that its row
-    is computed even when the prefix is no avoider, and the row is then
-    cut to the ranks the prefix inherits.  The engine does not call
-    this; it carries kept ranks down its tree."""
-    vals = perm.values
-    if len(vals) < pop.k:
-        return False
-    board, p = _compiled_board(pop), []
-    kept = 1 << 1 if pop.k > 1 else 0
-    for j, v in enumerate(vals[:-1]):
-        r = 1 + sum(u < v for u in vals[:j])
-        inherited = (kept & ((2 << r) - 1)) | ((kept >> r) << (r + 1))
-        kept = board(p, kept | 1 << r) >> (r * (len(p) + 3)) & inherited
-        p = [u + (u >= r) for u in p] + [r]
-    return not kept >> vals[-1] & 1

@@ -19,7 +19,7 @@ import re
 from itertools import combinations, permutations
 from typing import Iterable, Iterator, NamedTuple
 
-from .perms import MAX_COMPILED_K, Permutation
+from .perms import Permutation
 
 
 class PopError(ValueError):
@@ -184,12 +184,14 @@ def _encode(below) -> int:
 
 
 _REL_RE = re.compile(r"^(\d+)>(\d+)$")
+# CPython compiles at most 20 statically nested loops; the board in counting nests k - 2.
+MAX_COMPILED_K = 21
 
 
 def parse_pop(text: str) -> Pop:
     """Parse POP text such as ``"k=4; 1>2, 1>3"``.
 
-    Raises PopError for malformed syntax, more labels than the matcher
+    Raises PopError for malformed syntax, more labels than the board
     handles, labels outside 1..k, or a relation set containing a cycle.
     The label limit comes first, so a huge k is refused before its k x k
     order matrix is built.

@@ -779,29 +779,26 @@ def verify_theorem(theorem_id: str, n_max: int = 8, *, k: int | None = None) -> 
     """
     _check_length(n_max, DEFAULT_CEILING)
     entry = get_theorem(theorem_id)
-    k_eff = entry.resolve_k(k)
-    brute = count_avoiders_prefix(entry.pop(k_eff), _brute_length(entry, k_eff, n_max))
-    return _report(entry, k_eff, brute.counts)
+    return _verify([(entry, entry.resolve_k(k))], n_max)[0]
 
 
 def verify_all(n_max: int = 8) -> list[Report]:
-    """Verify every entry at each of its registered lengths.
-
-    Entries that share a POP share one count of it, to the longest
-    length any of their checks reaches, and each report reads its own
-    prefix of those counts; the counts are not kept after the call.
-    """
+    """Verify every entry at each of its registered lengths."""
     _check_length(n_max, DEFAULT_CEILING)
-    checks = [
-        (entry, k, entry.pop(k), _brute_length(entry, k, n_max))
-        for entry in THEOREMS.values()
-        for k in entry.registered_ks()
-    ]
+    checks = [(entry, k) for entry in THEOREMS.values() for k in entry.registered_ks()]
+    return _verify(checks, n_max)
+
+
+def _verify(checks: Sequence[tuple[TheoremEntry, int]], n_max: int) -> list[Report]:
+    """The report of each ``(entry, k)`` check to n_max.  Checks that
+    share a POP share one count of it, to the longest length any of
+    them reaches, and each report reads its own prefix of the counts."""
+    plan = [(entry, k, entry.pop(k), _brute_length(entry, k, n_max)) for entry, k in checks]
     lengths: dict[Pop, int] = {}
-    for _, _, pop, n in checks:
+    for _, _, pop, n in plan:
         lengths[pop] = max(lengths.get(pop, 0), n)
     counts = {pop: count_avoiders_prefix(pop, n).counts for pop, n in lengths.items()}
-    return [_report(entry, k, counts[pop][: n + 1]) for entry, k, pop, n in checks]
+    return [_report(entry, k, counts[pop][: n + 1]) for entry, k, pop, n in plan]
 
 
 # ----------------------------------------------------------------------

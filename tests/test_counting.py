@@ -10,7 +10,6 @@ import time
 import pytest
 
 import poplab.counting as counting
-import poplab.perms as perms
 from poplab.counting import (
     CUT_HEIGHT,
     CeilingExceeded,
@@ -79,8 +78,8 @@ def matcher_source(pop) -> str:
         exec(source, namespace)
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(perms, "exec", spy, raising=False)
-        perms._compiled_board.__wrapped__(pop)
+        patch.setattr(counting, "exec", spy, raising=False)
+        counting._compiled_board.__wrapped__(pop)
     return sources[0]
 
 
@@ -118,15 +117,22 @@ def test_pattern_set_counter_known_values(patterns, counts):
 
 
 def test_pattern_set_counter_uses_no_engine_part(monkeypatch):
-    # The oracle must stand apart from the engine it checks.
+    # Each oracle must stand apart from the engine it checks, though all
+    # three share its module: the pattern-set counter, the S_n filter and
+    # the cycle-interval counter.
     def engine_part(*args, **kwargs):
-        raise AssertionError("the pattern-set counter called the engine")
+        raise AssertionError("an oracle called the engine")
 
-    for name in ("_compiled_board", "_walk", "_subtree_counts", "_children"):
+    for name in ("_compiled_board", "_walk", "_subtree_counts", "_children", "_cut_key"):
         monkeypatch.setattr(counting, name, engine_part)
     patterns = [Permutation.from_text(t) for t in ("2431", "4231", "4321")]
     counts = [count_avoiders_pattern_set(patterns, n) for n in range(1, 9)]
     assert counts == [1, 2, 6, 21, 79, 311, 1265, 5275]
+    # The chain 1>2>3 is the classical pattern 321: Catalan numbers.
+    chain = parse_pop("k=3; 1>2, 2>3")
+    assert [naive_count_avoiders(chain, n) for n in range(8)] == [1, 1, 2, 5, 14, 42, 132, 429]
+    # Cycles within 2 consecutive values: Fibonacci numbers.
+    assert [count_cycle_interval_perms(3, n) for n in range(1, 9)] == [1, 2, 3, 5, 8, 13, 21, 34]
 
 
 def test_symmetries_preserve_counts_on_sampled_length5_pops():
@@ -337,7 +343,7 @@ def test_pool_outlives_workers_that_all_fail_at_once(tmp_path, deadline):
 def _level(pop, depth: int) -> list:
     # Counts that reach two lengths past depth, so that every level to it is built.
     root = (b"", 1 << 1 if pop.k > 1 else 0)
-    return _walk(perms._compiled_board(pop), [root], [0] * (depth + 3), depth)
+    return _walk(counting._compiled_board(pop), [root], [0] * (depth + 3), depth)
 
 
 def test_walk_levels_hold_the_counts():

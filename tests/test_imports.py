@@ -9,7 +9,10 @@ itself. No command loads ``dataclasses`` or ``inspect``: the records are
 ``NamedTuple`` classes. ``verify all`` and ``conjectures`` load no
 ``fractions`` (nor ``decimal``, which it imports): the catalogue's series
 have integer coefficients, which stay ints. Every annotation resolves
-when ``TYPE_CHECKING`` is true, as a static checker reads it.
+when ``TYPE_CHECKING`` is true, as a static checker reads it. Every
+submodule imports when it is the first one loaded, so no import cycle
+hides behind the order the other tests load them in, and ``perms``
+loads no other submodule.
 """
 
 from __future__ import annotations
@@ -23,6 +26,11 @@ from pathlib import Path
 import pytest
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
+SUBMODULES = sorted(
+    path.stem
+    for path in (REPO_ROOT / "src" / "poplab").glob("*.py")
+    if not path.stem.startswith("_")
+)
 
 
 def run_fresh(script: str) -> None:
@@ -45,6 +53,18 @@ def test_import_poplab_loads_no_submodule():
         import poplab
         loaded = [m for m in sys.modules if m.startswith("poplab.")]
         assert not loaded, loaded
+        """
+    )
+
+
+@pytest.mark.parametrize("name", SUBMODULES)
+def test_each_submodule_imports_first(name):
+    run_fresh(
+        f"""
+        import sys
+        import poplab.{name}
+        loaded = sorted(m for m in sys.modules if m.startswith("poplab."))
+        assert {name!r} != "perms" or loaded == ["poplab.perms"], loaded
         """
     )
 

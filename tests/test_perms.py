@@ -4,13 +4,8 @@ import random
 
 import pytest
 
-from poplab.perms import (
-    Permutation,
-    _compiled_board,
-    contains_pop_ending_at_last,
-    has_cycle_interval_property,
-    standardize,
-)
+from poplab.counting import _compiled_board, contains_pop_ending_at_last
+from poplab.perms import Permutation, has_cycle_interval_property, standardize
 from poplab.posets import Pop, antichain, linear_extensions, parse_pop
 
 

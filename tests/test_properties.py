@@ -10,11 +10,13 @@ from __future__ import annotations
 import pytest
 
 from poplab.counting import (
+    _compiled_board,
+    contains_pop_ending_at_last,
     count_avoiders_pattern_set,
     count_avoiders_prefix,
     naive_count_avoiders,
 )
-from poplab.perms import Permutation, _compiled_board, contains_pop_ending_at_last
+from poplab.perms import Permutation
 from poplab.posets import Pop, linear_extensions, symmetry_orbit
 
 pytest.importorskip("hypothesis")

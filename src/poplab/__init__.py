@@ -10,7 +10,7 @@ results with brute-force verification, and matching of computed counts
 against a sequence database in the standard ``stripped`` format.
 
 ``import poplab`` loads no submodule: each public name below loads its
-submodule on first use (PEP 562), so a command pays only for what it runs.
+submodule on first use (PEP 562), so a command loads only what it runs.
 """
 
 from __future__ import annotations

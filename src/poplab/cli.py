@@ -20,7 +20,6 @@ import argparse
 import json
 import os
 import sys
-from functools import partial
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -174,8 +173,8 @@ def scan_pops(
     texts = [sorted(p.to_text() for p in orbits[code]) for code in codes]
 
     # The orbits share one pool; passing jobs on would start a pool per orbit.
-    count = partial(count_avoiders_prefix, n_max=n_max)
-    all_counts = [seq.counts for seq in _pool_map(count, reps, jobs)]
+    # Each maps to its counts, as marshal cannot write a CountSequence's Pop.
+    all_counts = _pool_map(lambda pop: count_avoiders_prefix(pop, n_max).counts, reps, jobs)
 
     distinct = sorted(set(all_counts))
     class_index = {counts: i + 1 for i, counts in enumerate(distinct)}

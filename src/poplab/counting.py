@@ -34,22 +34,25 @@ The representatives go through ``_pool_map``, the only place poplab
 starts processes: it names runs of items, one byte each, in a pipe
 before forking, and the parent and the workers it forks with
 ``os.fork`` each take the next run from it, so no pool library is
-imported.  The parts are summed in order of each key's first
-appearance, so the result is identical for every job count.  All
-arithmetic is exact.
+imported, and a worker reports by ``marshal``, not ``pickle``.  The
+parts are summed in order of each key's first appearance, so the
+result is identical for every job count.  All arithmetic is exact.
 """
 
 from __future__ import annotations
 
+import marshal
 import math
 import os
 from collections import defaultdict
 from functools import lru_cache, partial
 from itertools import combinations, permutations, repeat
-from typing import Callable, Iterator, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Callable, Iterator, NamedTuple, Sequence
 
-from .perms import Permutation
 from .posets import MAX_COMPILED_K, Pop
+
+if TYPE_CHECKING:
+    from .perms import Permutation
 
 DEFAULT_CEILING = 10
 # Nodes hold each entry in a byte and reach length n-1, so no ceiling may let n pass this.
@@ -353,18 +356,20 @@ def _inside(u: tuple, w: tuple) -> bool:
 
 def _pool_map(fn: Callable, items: list, jobs: int) -> list:
     """``list(map(fn, items))``, over min(jobs, tasks) processes if that
-    is > 1: this one and workers forked from it.
+    is > 1: this one and workers forked from it.  Each result must then
+    be a value that ``marshal`` writes, or it fails with a ValueError.
 
     The items are cut into at most ``_MAX_TASKS`` tasks, runs of
     consecutive indices of one length, and the task numbers, one byte
     each, are written to a pipe in one write before the first fork.  So
     the write is whole and cannot block, and no read splits a task.
     Every process, this one too, then reads the next task whenever it is
-    free, until EOF; a worker sends back its ``(index, result)`` pairs,
-    pickled, on a pipe of its own.  Each process stops at its first
-    failure; tasks go out in order, so the least failing index seen is
-    the first, and its exception is raised here, as ``map`` would raise
-    it.  Every child is reaped before this returns or raises.
+    free, until EOF; a worker sends back its ``(index, result)`` pairs
+    and failure by ``marshal`` on a pipe of its own, and ``pickle`` is
+    imported only to carry a failure's exception.  Each process stops at
+    its first failure; tasks go out in order, so the least failing index
+    seen is the first, and its exception is raised here, as ``map``
+    would raise it.  Every child is reaped before this returns or raises.
     """
     size = -(-len(items) // _MAX_TASKS) or 1
     tasks = -(-len(items) // size)
@@ -373,8 +378,6 @@ def _pool_map(fn: Callable, items: list, jobs: int) -> list:
         return list(map(fn, items))
     if not hasattr(os, "fork"):
         raise ValueError(f"jobs={jobs} needs os.fork, which this platform lacks; use 1 job")
-    import pickle
-
     # The parent's open pipe ends: the task pipe's read end, then each worker's report.
     fds = list(os.pipe())
     os.write(fds[1], bytes(range(tasks)))
@@ -390,8 +393,13 @@ def _pool_map(fn: Callable, items: list, jobs: int) -> list:
                 try:
                     for fd in fds[1:-1]:
                         os.close(fd)
+                    done, failure = _serve(fn, items, fds[0], size)
+                    if failure:
+                        import pickle
+
+                        failure = failure[0], pickle.dumps(failure[1])
                     with open(fds[-1], "wb") as out:
-                        out.write(pickle.dumps(_serve(fn, items, fds[0], size)))
+                        out.write(marshal.dumps((done, failure)))
                     status = 0
                 finally:
                     os._exit(status)
@@ -405,7 +413,11 @@ def _pool_map(fn: Callable, items: list, jobs: int) -> list:
                 data = report.read()
             if not data:
                 raise RuntimeError("a pool worker exited without reporting")
-            pairs, failure = pickle.loads(data)
+            pairs, failure = marshal.loads(data)
+            if failure:
+                import pickle
+
+                failure = failure[0], pickle.loads(failure[1])
             done += pairs
             failures.append(failure)
         reported = True
@@ -436,9 +448,11 @@ def _serve(fn: Callable, items: list, tasks: int, size: int) -> tuple[list, tupl
         start = task[0] * size
         for i in range(start, min(start + size, len(items))):
             try:
-                done.append((i, fn(items[i])))
+                value = fn(items[i])
+                marshal.dumps(value)  # fails alike in every process, not at the report
             except Exception as exc:
                 return done, (i, exc)
+            done.append((i, value))
     return done, None
 
 
@@ -548,6 +562,8 @@ def count_cycle_interval_perms(k: int, n: int, *, ceiling: int = DEFAULT_CEILING
 def naive_count_avoiders(pop: Pop, n: int, *, ceiling: int = 7) -> int:
     """Filter all of S_n through the containment test.  Slow; used as an
     independent oracle for the pruned engine."""
+    from .perms import Permutation
+
     _check_length(n, ceiling)
     if n == 0:
         return 1

@@ -17,9 +17,10 @@ from __future__ import annotations
 
 import re
 from itertools import combinations, permutations
-from typing import Iterable, Iterator, NamedTuple
+from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple
 
-from .perms import Permutation
+if TYPE_CHECKING:
+    from .perms import Permutation
 
 
 class PopError(ValueError):
@@ -188,6 +189,12 @@ _REL_RE = re.compile(r"^(\d+)>(\d+)$")
 MAX_COMPILED_K = 21
 
 
+def _check_labels(k: int) -> None:
+    """Refuse more labels than the board handles, before a k x k order is built."""
+    if k > MAX_COMPILED_K:
+        raise PopError(f"POPs have at most {MAX_COMPILED_K} labels, got k={k}")
+
+
 def parse_pop(text: str) -> Pop:
     """Parse POP text such as ``"k=4; 1>2, 1>3"``.
 
@@ -203,8 +210,7 @@ def parse_pop(text: str) -> Pop:
     if not m:
         raise PopError(f"expected 'k=<int>' before ';', got {head.strip()!r}")
     k = int(m.group(1))
-    if k > MAX_COMPILED_K:
-        raise PopError(f"POPs have at most {MAX_COMPILED_K} labels, got k={k}")
+    _check_labels(k)
     relations: list[tuple[int, int]] = []
     tail = tail.strip()
     if tail:
@@ -272,6 +278,8 @@ def linear_extensions(pop: Pop) -> tuple[Permutation, ...]:
     labels keep their order; the pattern reads the rank of label 1,
     label 2, and so on.
     """
+    from .perms import Permutation
+
     k = pop.k
     below = pop.below
     pairs = [(a, b) for a in range(k) for b in range(k) if below[a][b]]

@@ -24,7 +24,7 @@ from typing import Callable, NamedTuple, Sequence
 
 from .counting import DEFAULT_CEILING, _check_length, count_avoiders_prefix
 from .counting import count_cycle_interval_perms
-from .posets import Pop, parse_pop
+from .posets import Pop, _check_labels, parse_pop
 from .series import (
     TruncatedSeries,
     from_rational,
@@ -182,6 +182,7 @@ class TheoremEntry(NamedTuple):
 
     def pop(self, k: int | None = None) -> Pop:
         k = self.resolve_k(k)
+        _check_labels(k)  # before a family's factory builds a k x k order
         return self.pop_factory(k) if self.family else self.fixed_pop
 
     def oeis(self, k: int | None = None) -> tuple[str, ...]:

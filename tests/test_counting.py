@@ -314,6 +314,26 @@ def test_pool_survives_a_killed_worker(deadline):
         os.waitpid(-1, os.WNOHANG)
 
 
+def test_pool_reports_a_result_marshal_cannot_write(deadline):
+    # The worker reports the ValueError as the failure of its item, as it
+    # would report an exception from fn, in place of exiting unreported.
+    parent = os.getpid()
+
+    def fn(x: int) -> object:
+        time.sleep(0.01)  # so that a worker takes an item
+        return object() if os.getpid() != parent else x
+
+    with pytest.raises(ValueError, match="unmarshallable object"):
+        _pool_map(fn, list(range(20)), 2)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    # The parent refuses such a result too, so a pool fails alike whichever process maps it.
+    with pytest.raises(ValueError, match="unmarshallable object"):
+        _pool_map(lambda x: object(), list(range(20)), 2)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 def test_pool_outlives_workers_that_all_fail_at_once(tmp_path, deadline):
     # Each forked worker fails on the first item of its first run.  The
     # parent, one of the workers, must then map every other run itself

@@ -5,8 +5,10 @@ runs: ``count`` and ``scan`` do not load the catalogue (``theorems``,
 ``series``), and only ``scan`` loads the sequence database
 (``poplab.oeis``). No command loads ``concurrent.futures`` or
 ``multiprocessing``, with any number of jobs: the pool forks its workers
-itself. No command loads ``dataclasses`` or ``inspect``: the records are
-``NamedTuple`` classes. ``verify all`` and ``conjectures`` load no
+itself. No command loads ``pickle``: pool workers report by ``marshal``.
+Only ``expand``, which lists a POP's patterns as ``Permutation``s, loads
+``poplab.perms``. No command loads ``dataclasses`` or ``inspect``: the
+records are ``NamedTuple`` classes. ``verify all`` and ``conjectures`` load no
 ``fractions`` (nor ``decimal``, which it imports): the catalogue's series
 have integer coefficients, which stay ints. Every annotation resolves
 when ``TYPE_CHECKING`` is true, as a static checker reads it. Every
@@ -115,12 +117,15 @@ def test_verify_loads_no_pool():
         ["count", "k=3; 1>3", "--nmax", "6"],
         ["count", "k=4; 3>1, 1>2, 3>4", "--n", "9", "--jobs", "2"],
         ["scan", "--length", "3", "--nmax", "7"],
+        ["scan", "--length", "3", "--nmax", "7", "--jobs", "2"],
         ["verify", "all", "--nmax", "5"],
         ["conjectures", "--nmax", "5"],
     ],
-    ids=["expand", "count", "count-jobs-2", "scan", "verify", "conjectures"],
+    ids=["expand", "count", "count-jobs-2", "scan", "scan-jobs-2", "verify", "conjectures"],
 )
 def test_command_loads_no_dataclasses_and_only_scan_loads_oeis(argv):
+    # Also: only expand, which builds Permutations, loads poplab.perms, and
+    # no command loads pickle, as pool workers report by marshal.
     run_fresh(
         f"""
         import contextlib, io, sys
@@ -128,9 +133,10 @@ def test_command_loads_no_dataclasses_and_only_scan_loads_oeis(argv):
         with contextlib.redirect_stdout(io.StringIO()):
             code = poplab.cli.main({argv!r})
         assert code == 0
-        loaded = [m for m in ("dataclasses", "inspect") if m in sys.modules]
+        loaded = [m for m in ("dataclasses", "inspect", "pickle") if m in sys.modules]
         assert not loaded, loaded
         assert ("poplab.oeis" in sys.modules) == ({argv[0]!r} == "scan")
+        assert ("poplab.perms" in sys.modules) == ({argv[0]!r} == "expand")
         """
     )
 

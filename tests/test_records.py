@@ -4,8 +4,8 @@
 and ``ConjectureReport`` are ``NamedTuple`` classes: each keeps its field
 names and its ``Name(field=value, ...)`` repr, refuses assignment,
 compares equal to a record built from the same fields, and survives a
-pickle round trip (``scan --jobs 2`` gets its count sequences back from
-its workers that way).
+pickle round trip, as a user may pickle the records (the pool itself
+sends back plain counts by ``marshal``).
 """
 
 from __future__ import annotations

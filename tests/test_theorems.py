@@ -4,7 +4,7 @@ import pytest
 
 import poplab.theorems as theorems
 from poplab.counting import DEFAULT_CEILING, CeilingExceeded, count_avoiders_prefix
-from poplab.posets import parse_pop
+from poplab.posets import MAX_COMPILED_K, PopError, parse_pop
 from poplab.theorems import (
     CONJECTURES,
     STORED_COUNTS,
@@ -79,6 +79,22 @@ def test_family_entries_register_two_lengths():
         assert entry.pop(5).k == 5
         # The factory also builds the POP at a length not catalogued.
         assert entry.pop(6).k == 6
+
+
+@pytest.mark.parametrize("theorem_id", [f"thm-2.{i}" for i in range(2, 7)])
+def test_family_refuses_more_labels_than_the_board_before_building_its_pop(theorem_id):
+    # As parse_pop does, before the factory builds a k x k order matrix.
+    entry = get_theorem(theorem_id)
+    assert entry.pop(MAX_COMPILED_K).k == MAX_COMPILED_K
+    message = f"POPs have at most {MAX_COMPILED_K} labels, got k=22"
+    with pytest.raises(PopError, match=message):
+        entry.pop(22)
+    with pytest.raises(PopError, match=message):
+        verify_theorem(theorem_id, 5, k=22)
+    with pytest.raises(PopError, match=message):
+        parse_pop("k=22;")
+    # A formula builds no POP, so it takes any length.
+    assert len(theorem_sequence(theorem_id, 5, k=22)) == 6
 
 
 def test_fixed_entries_have_consistent_pop_lengths():

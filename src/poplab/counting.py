@@ -49,7 +49,7 @@ from functools import lru_cache, partial
 from itertools import combinations, permutations, repeat
 from typing import TYPE_CHECKING, Callable, Iterator, NamedTuple, Sequence
 
-from .posets import MAX_COMPILED_K, Pop
+from .posets import Pop, _check_labels
 
 if TYPE_CHECKING:
     from .perms import Permutation
@@ -181,8 +181,7 @@ def _compiled_board(pop: Pop) -> Callable[[Sequence[int], int], int]:
     one stops at its first fit: no later test reads it, and a later
     position only narrows the later labels' positions."""
     k, below = pop.k, pop.below
-    if k > MAX_COMPILED_K:
-        raise ValueError(f"the board handles POPs of at most {MAX_COMPILED_K} labels, got k={k}")
+    _check_labels(k)
     if k == 1:
         return lambda parent, kept: 0
     pin = k - 2
@@ -355,9 +354,9 @@ def _inside(u: tuple, w: tuple) -> bool:
 
 
 def _pool_map(fn: Callable, items: list, jobs: int) -> list:
-    """``list(map(fn, items))``, over min(jobs, tasks) processes if that
-    is > 1: this one and workers forked from it.  Each result must then
-    be a value that ``marshal`` writes, or it fails with a ValueError.
+    """``fn`` of each item, in order, over min(jobs, tasks) processes:
+    this one and workers forked from it, so one job needs no ``os.fork``.
+    Each result must be a value that ``marshal`` writes, or it fails.
 
     The items are cut into at most ``_MAX_TASKS`` tasks, runs of
     consecutive indices of one length, and the task numbers, one byte
@@ -374,9 +373,7 @@ def _pool_map(fn: Callable, items: list, jobs: int) -> list:
     size = -(-len(items) // _MAX_TASKS) or 1
     tasks = -(-len(items) // size)
     workers = min(jobs, tasks)
-    if workers <= 1:
-        return list(map(fn, items))
-    if not hasattr(os, "fork"):
+    if workers > 1 and not hasattr(os, "fork"):
         raise ValueError(f"jobs={jobs} needs os.fork, which this platform lacks; use 1 job")
     # The parent's open pipe ends: the task pipe's read end, then each worker's report.
     fds = list(os.pipe())
@@ -498,7 +495,8 @@ def count_avoiders(
 def count_avoiders_pattern_set(
     patterns: Sequence[Permutation], n: int, *, ceiling: int = DEFAULT_CEILING
 ) -> int:
-    """Avoiders of a plain set of classical patterns.
+    """Avoiders of a plain set of classical patterns, each a rearrangement
+    of 1..len(p); any other pattern is refused with a ValueError.
 
     Feeding this the linear extensions of a POP must reproduce
     ``count_avoiders`` for that POP, so it is an oracle for the engine
@@ -512,6 +510,9 @@ def count_avoiders_pattern_set(
     """
     _check_length(n, ceiling)
     pats = [tuple(p) for p in patterns]
+    for p in pats:
+        if sorted(p) != list(range(1, len(p) + 1)):
+            raise ValueError(f"a pattern must be a rearrangement of 1..{len(p)}, got {p}")
     if () in pats:
         return 0  # the empty pattern occurs in every permutation
     ends: dict[tuple[int, ...], set[int]] = {}

@@ -105,7 +105,7 @@ class Pop:
         for x in range(k):
             if below[x][x]:
                 raise PopError("relations contain a cycle")
-        return cls(k, tuple(tuple(row) for row in below))
+        return cls._closed(k, tuple(tuple(row) for row in below))
 
     @property
     def k(self) -> int:
@@ -228,18 +228,21 @@ def antichain(k: int) -> Pop:
     return Pop.from_relations(k, ())
 
 
+def _variants(below) -> tuple[tuple[tuple[bool, ...], ...], ...]:
+    """The matrices of a POP, its label complement, its dual, and the
+    dual of its label complement; each is closed when ``below`` is."""
+    dual_below = tuple(zip(*below))
+    complement, both = (tuple(row[::-1] for row in m[::-1]) for m in (below, dual_below))
+    return below, complement, dual_below, both
+
+
 def label_complement(pop: Pop) -> Pop:
     """Replace each label a by k+1-a, keeping the same order relation.
 
     A permutation contains ``pop`` exactly when its reverse contains the
     label complement.
     """
-    k = pop.k
-    below = pop.below
-    flipped = tuple(
-        tuple(below[k - 1 - a][k - 1 - b] for b in range(k)) for a in range(k)
-    )
-    return Pop(k, flipped)
+    return Pop._closed(pop.k, _variants(pop.below)[1])
 
 
 def dual(pop: Pop) -> Pop:
@@ -248,27 +251,18 @@ def dual(pop: Pop) -> Pop:
     A permutation contains ``pop`` exactly when its complement contains
     the dual.
     """
-    k = pop.k
-    below = pop.below
-    return Pop(k, tuple(tuple(below[b][a] for b in range(k)) for a in range(k)))
+    return Pop._closed(pop.k, _variants(pop.below)[2])
 
 
 def symmetry_orbit(pop: Pop) -> tuple[Pop, ...]:
     """The distinct POPs among ``pop`` and its three symmetry variants."""
-    variants = [pop, label_complement(pop), dual(pop), dual(label_complement(pop))]
-    out: list[Pop] = []
-    for p in variants:
-        if p not in out:
-            out.append(p)
-    return tuple(out)
+    return tuple(dict.fromkeys(Pop._closed(pop.k, below) for below in _variants(pop.below)))
 
 
 def canonical_class(pop: Pop) -> ClassKey:
-    """The ClassKey of the symmetry orbit of ``pop``: the least code of its
-    matrix and its dual's, each also label-complemented, with no Pop built."""
-    below, dual_below = pop.below, list(zip(*pop.below))
-    flipped = [[row[::-1] for row in matrix[::-1]] for matrix in (below, dual_below)]
-    return ClassKey(pop.k, min(map(_encode, (below, dual_below, *flipped))))
+    """The ClassKey of the symmetry orbit of ``pop``: the least code of
+    its four variants' matrices, with no Pop built."""
+    return ClassKey(pop.k, min(map(_encode, _variants(pop.below))))
 
 
 def linear_extensions(pop: Pop) -> tuple[Permutation, ...]:

@@ -12,9 +12,9 @@ a closed form or a recurrence over (n, k), or a generating function.
 Entries whose ``builder`` is None have no derived formula; their stored
 prefix is the only reference, and brute force the sole way to extend them.
 
-A handful of identifications are conjectural.  Their records sit in the
-same table; ``CONJECTURES`` lists their POP texts, and they are only ever
-reported as supported up to the computed range, never as proved.
+A handful of identifications are conjectural.  ``CONJECTURES`` lists
+their POP texts; each is checked as an entry with no formula, and only
+ever reported as supported up to the computed range, never as proved.
 """
 
 from __future__ import annotations
@@ -205,6 +205,19 @@ class TheoremEntry(NamedTuple):
         return self.builder(n_max, self.resolve_k(k))
 
 
+# The conjectured identifications, as records of ``STORED_COUNTS``.
+_CONJECTURED: dict[str, tuple[tuple[str, ...], tuple[int, ...]]] = {
+    "k=5; 1>2, 1>4, 5>1": (("A216879",), (1, 2, 6, 24, 110, 540, 2772, 14704)),
+    "k=5; 1>2, 1>3, 1>4, 5>1": (("A054872",), (1, 2, 6, 24, 114, 600, 3372, 19824)),
+    "k=5; 1>2, 1>3, 3>4, 3>5": (("A118376",), (1, 2, 6, 24, 112, 568, 3032, 16768)),
+    "k=5; 1>5, 2>5, 5>3, 5>4": (("A212198",), (1, 2, 6, 24, 116, 632, 3720, 23072)),
+    "k=5; 1>4, 1>5, 2>4, 2>5, 5>3": (
+        ("A228907",),
+        (1, 2, 6, 24, 114, 598, 3336, 19402),
+    ),
+    "k=5; 1>5, 2>1, 5>3, 5>4": (("A224295",), (1, 2, 6, 24, 118, 672, 4256, 29176)),
+}
+
 # The A-numbers and the reference counts from n = 1 of each catalogued
 # or conjectured POP, keyed by its canonical text.  A family's instance at
 # k = 4 or 5 and the length-4 or length-5 entry for the same POP share one
@@ -253,27 +266,11 @@ STORED_COUNTS: dict[str, tuple[tuple[str, ...], tuple[int, ...]]] = {
     "k=5; 1>2, 2>3, 3>4": (("A128088",), (1, 2, 6, 24, 115, 618, 3591, 22088)),
     # Only the thm-2.5 family reaches this POP; it has no catalogue id.
     "k=5; 1>3": ((), (1, 2, 6, 24, 60, 150, 336, 728)),
-    # Conjectured identifications, listed in CONJECTURES.
-    "k=5; 1>2, 1>4, 5>1": (("A216879",), (1, 2, 6, 24, 110, 540, 2772, 14704)),
-    "k=5; 1>2, 1>3, 1>4, 5>1": (("A054872",), (1, 2, 6, 24, 114, 600, 3372, 19824)),
-    "k=5; 1>2, 1>3, 3>4, 3>5": (("A118376",), (1, 2, 6, 24, 112, 568, 3032, 16768)),
-    "k=5; 1>5, 2>5, 5>3, 5>4": (("A212198",), (1, 2, 6, 24, 116, 632, 3720, 23072)),
-    "k=5; 1>4, 1>5, 2>4, 2>5, 5>3": (
-        ("A228907",),
-        (1, 2, 6, 24, 114, 598, 3336, 19402),
-    ),
-    "k=5; 1>5, 2>1, 5>3, 5>4": (("A224295",), (1, 2, 6, 24, 118, 672, 4256, 29176)),
+    **_CONJECTURED,
 }
 
 # The POPs whose identification with their A-number is only conjectured.
-CONJECTURES: tuple[str, ...] = (
-    "k=5; 1>2, 1>4, 5>1",
-    "k=5; 1>2, 1>3, 1>4, 5>1",
-    "k=5; 1>2, 1>3, 3>4, 3>5",
-    "k=5; 1>5, 2>5, 5>3, 5>4",
-    "k=5; 1>4, 1>5, 2>4, 2>5, 5>3",
-    "k=5; 1>5, 2>1, 5>3, 5>4",
-)
+CONJECTURES: tuple[str, ...] = tuple(_CONJECTURED)
 
 
 _FIB_NOTE = (
@@ -858,9 +855,9 @@ def check_conjecture(a_number: str, n_max: int = 8) -> ConjectureReport:
             break
     else:
         raise ValueError(f"unknown conjecture {a_number!r}")
-    pop, stored = parse_pop(text), STORED_COUNTS[text][1]
-    brute = count_avoiders_prefix(pop, min(n_max, len(stored))).counts
-    return ConjectureReport(a_number, text, pop.k, _verify_rows([1, *stored], brute))
+    entry = TheoremEntry(a_number, "conjecture", None, fixed_pop=parse_pop(text))
+    report = _verify([(entry, entry.k_default)], n_max)[0]
+    return ConjectureReport(a_number, text, report.k, report.rows)
 
 
 def check_all_conjectures(n_max: int = 8) -> list[ConjectureReport]:

@@ -116,6 +116,12 @@ def test_pattern_set_counter_known_values(patterns, counts):
     assert [count_avoiders_pattern_set(perms, n) for n in range(len(counts))] == counts
 
 
+@pytest.mark.parametrize("pattern", [(1, 1), (0, 1), (2, 2, 1), (3, 1), (1, 3, 2, 5)])
+def test_pattern_set_counter_refuses_what_is_no_pattern(pattern):
+    with pytest.raises(ValueError, match="rearrangement of 1"):
+        count_avoiders_pattern_set([(1, 2), pattern], 4)
+
+
 def test_pattern_set_counter_uses_no_engine_part(monkeypatch):
     # Each oracle must stand apart from the engine it checks, though all
     # three share its module: the pattern-set counter, the S_n filter and
@@ -274,8 +280,8 @@ def test_pool_maps_runs_on_both_sides_of_max_tasks(count, deadline):
     # Up to 256 items, a task is one item; past it, runs of 2, 3 or 4,
     # the last one shorter where 256 does not divide the count.
     items = list(range(count))
-    assert _pool_map(str, items, 2) == list(map(str, items))
-    assert _pool_map(str, items, 3) == list(map(str, items))
+    for jobs in (1, 2, 3):
+        assert _pool_map(str, items, jobs) == list(map(str, items))
     # Of 1000 items, 700 and 701 fail in one run of 4 and 900 in a later one.
     first = count * 7 // 10
 
@@ -284,11 +290,12 @@ def test_pool_maps_runs_on_both_sides_of_max_tasks(count, deadline):
             raise ValueError(x)
         return x
 
-    with pytest.raises(ValueError) as info:
-        _pool_map(fn, items, 2)
-    assert info.value.args == (first,)
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
+    for jobs in (1, 2):
+        with pytest.raises(ValueError) as info:
+            _pool_map(fn, items, jobs)
+        assert info.value.args == (first,)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
 
 def test_pool_forks_one_worker_fewer_than_its_tasks(monkeypatch, forks):
@@ -327,11 +334,13 @@ def test_pool_reports_a_result_marshal_cannot_write(deadline):
         _pool_map(fn, list(range(20)), 2)
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
-    # The parent refuses such a result too, so a pool fails alike whichever process maps it.
-    with pytest.raises(ValueError, match="unmarshallable object"):
-        _pool_map(lambda x: object(), list(range(20)), 2)
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
+    # The parent refuses such a result too, so a pool fails alike whichever
+    # process maps it, and one job is a pool of the parent alone.
+    for jobs in (1, 2):
+        with pytest.raises(ValueError, match="unmarshallable object"):
+            _pool_map(lambda x: object(), list(range(20)), jobs)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
 
 def test_pool_outlives_workers_that_all_fail_at_once(tmp_path, deadline):

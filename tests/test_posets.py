@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import random
 
 import pytest
 
@@ -177,6 +178,34 @@ def test_label_complement_transports_containment_to_reverse():
         assert perm.contains_pop(label_complement(pop)) == perm.reverse().contains_pop(
             pop
         )
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+def test_every_symmetry_variant_is_a_valid_order(k):
+    # The variants are built unchecked; Pop(k, below) checks each in full.
+    for pop in enumerate_pops(k):
+        for variant in (label_complement(pop), dual(pop), *symmetry_orbit(pop)):
+            assert Pop(k, variant.below) == variant
+
+
+def test_from_relations_builds_a_valid_order():
+    rng = random.Random(2908)
+    built = 0
+    for _ in range(400):
+        k = rng.randint(2, 7)
+        pairs = [rng.sample(range(1, k + 1), 2) for _ in range(rng.randint(0, 2 * k))]
+        # Each pair put in the order of a random ranking is acyclic; as drawn, it may not be.
+        rank = rng.sample(range(k), k)
+        relations = [sorted(pair, key=lambda a: rank[a - 1]) for pair in pairs]
+        if rng.random() < 0.25:
+            relations = pairs
+        try:
+            pop = Pop.from_relations(k, relations)
+        except PopError:
+            continue
+        assert Pop(k, pop.below) == pop
+        built += 1
+    assert built > 300
 
 
 def test_symmetry_orbit_sizes():

@@ -12,11 +12,17 @@ entry or conjecture with no evidence (n below k), 2 usage error
 (including a count past the ceiling), 3 I/O error, 141 stdout closed by
 its reader before the output was written (128 + SIGPIPE, as a shell
 reports for a writer that the signal stopped).
+
+Run as a command, ``main()`` with no list (the ``poplab`` script and
+``python -m``) calls ``gc.freeze()`` first, so interpreter exit does not
+collect the ~12,000 objects that imports made, several ms of a short run;
+``main(argv)`` called in-process leaves the caller's collector as it was.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
@@ -286,6 +292,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    if argv is None:
+        gc.freeze()
     args = build_parser().parse_args(argv)
     try:
         status = args.func(args)

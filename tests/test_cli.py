@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import importlib.metadata
 import json
 import os
@@ -77,6 +78,14 @@ def test_count_json(capsys):
 def test_count_respects_jobs(capsys):
     assert main(["count", "--pop", "k=3; 1>2, 2>3", "--n", "7", "--jobs", "2"]) == 0
     assert capsys.readouterr().out.strip() == "429"
+
+
+def test_count_in_process_leaves_the_collector_unfrozen(capsys):
+    # Only a run as the process's own command, main() with no list, freezes.
+    frozen = gc.get_freeze_count()
+    assert main(["count", "k=3; 1>3", "--n", "5"]) == 0
+    assert capsys.readouterr().out.strip() == "8"
+    assert gc.get_freeze_count() == frozen
 
 
 def test_count_nmax_prints_sequence(capsys):

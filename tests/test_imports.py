@@ -14,7 +14,9 @@ have integer coefficients, which stay ints. Every annotation resolves
 when ``TYPE_CHECKING`` is true, as a static checker reads it. Every
 submodule imports when it is the first one loaded, so no import cycle
 hides behind the order the other tests load them in, and ``perms``
-loads no other submodule.
+loads no other submodule. ``main()`` run on ``sys.argv``, as the
+console script and ``python -m`` run it, loads the same modules as
+``main(argv)`` and freezes the import-time heap; ``main(argv)`` does not.
 """
 
 from __future__ import annotations
@@ -71,23 +73,31 @@ def test_each_submodule_imports_first(name):
     )
 
 
+COUNT_JOBS_2 = ["count", "k=4; 3>1, 1>2, 3>4", "--n", "9", "--jobs", "2"]
+
+
 @pytest.mark.parametrize(
-    "argv",
+    "argv, entry",
     [
-        ["count", "k=3; 1>3", "--n", "6", "--jobs", "1"],
-        ["scan", "--length", "3", "--nmax", "5", "--jobs", "1"],
-        ["count", "k=4; 3>1, 1>2, 3>4", "--n", "9", "--jobs", "2"],
+        (["count", "k=3; 1>3", "--n", "6", "--jobs", "1"], False),
+        (["scan", "--length", "3", "--nmax", "5", "--jobs", "1"], False),
+        (COUNT_JOBS_2, False),
+        (COUNT_JOBS_2, True),
     ],
-    ids=["count", "scan", "count-jobs-2"],
+    ids=["count", "scan", "count-jobs-2", "count-jobs-2-entry"],
 )
-def test_command_loads_neither_catalogue_nor_pool(argv):
+def test_command_loads_neither_catalogue_nor_pool(argv, entry):
+    # The entry case runs main() on sys.argv, as the console script and
+    # python -m do, which freezes the import-time heap; a list does not.
     run_fresh(
         f"""
-        import contextlib, io, sys
+        import contextlib, gc, io, sys
         import poplab.cli
+        sys.argv = ["poplab", *{argv!r}]
         with contextlib.redirect_stdout(io.StringIO()):
-            code = poplab.cli.main({argv!r})
+            code = poplab.cli.main() if {entry!r} else poplab.cli.main({argv!r})
         assert code == 0
+        assert (gc.get_freeze_count() > 0) == {entry!r}, gc.get_freeze_count()
         unwanted = ["poplab.theorems", "poplab.series", "fractions", "concurrent.futures", "multiprocessing"]
         loaded = [m for m in unwanted if m in sys.modules]
         assert not loaded, loaded

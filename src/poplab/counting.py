@@ -14,14 +14,17 @@ ranks its parent keeps, as a prune at a node holds in every descendant
 (the enumeration-scheme idea; Zeilberger, Ann. Comb. 2, 1998), less
 those at which a next entry completes an occurrence whose label k-1 is
 the child's own last entry.  So the board, ``_compiled_board``,
-generated here once per POP per process, gives every child's kept
-ranks in one call per node, one row of bits per child, from one pass
-over the node's entries, and a child is one ``bytes.translate``.
-``contains_pop_ending_at_last`` replays the board along the prefixes
-of one permutation.
+generated here once per POP per process, is the occurrence loops
+alone: one call per node gives the ranks forbidden to every child, one
+row of bits per child, from one pass over the node's entries.  The
+walk takes each child's kept ranks from those it inherits less its row
+and builds the child as one ``bytes.translate``; ``_rows`` composes
+the same rows for ``contains_pop_ending_at_last``, which replays the
+board along the prefixes of one permutation.
 
-One level loop, ``_walk``, walks the tree to the cut, ``CUT_HEIGHT``
-levels above n_max (the root when n_max <= ``CUT_HEIGHT``), and on from
+One level loop, ``_walk``, walks the whole tree in one process when the
+cut, ``CUT_HEIGHT`` levels above n_max, would lie above depth
+``MIN_CUT_DEPTH`` (n_max <= 7), and otherwise to the cut and on from
 one cut node per key, weighted by the number of cut nodes that share it
 (Vatter, Combin. Probab. Comput. 17, 2008); below a cut node of length
 d no level holds more than (d+1)(d+2)(d+3) nodes.  The key of
@@ -47,7 +50,7 @@ import os
 from collections import defaultdict
 from functools import lru_cache, partial
 from itertools import combinations, permutations, repeat
-from typing import TYPE_CHECKING, Callable, Iterator, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
 
 from .posets import Pop, _check_labels
 
@@ -60,6 +63,12 @@ MAX_LENGTH = 256
 # Levels from the cut, whose nodes are grouped by key, to n_max: of 4, 5
 # and 6, 5 was best or tied at n = 9-12 (BENCH_cut_cache.json).
 CUT_HEIGHT = 5
+# The least depth of a cut: above it a count walks its whole tree in one
+# process.  Against cuts at depths 1-4 (n = 6-9), whole walks of the 66
+# length-4 orbits took 28% and 14-16% less at n = 6 and 7, but 8-12% and
+# 30-36% more at n = 8 and 9; of 60 length-5 orbits, 25-29% and 13-15%
+# less, 1-3% less, and 32-48% more (BENCH_short_counts.json).
+MIN_CUT_DEPTH = 3
 # A pool's most tasks: their numbers, one byte each, fit below POSIX's
 # least PIPE_BUF (512), so one write puts them all in the pipe whole.
 _MAX_TASKS = 256
@@ -163,27 +172,26 @@ _ROWS = _Rows()
 
 
 @lru_cache(maxsize=1024)
-def _compiled_board(pop: Pop) -> Callable[[Sequence[int], int], int]:
-    """Generate ``board(parent, kept)`` for ``pop``, once per POP: the
-    kept ranks of every child of ``parent`` at once, where ``kept``
-    holds the parent's.  Row r of the result, bits r * W .. r * W + W - 1
-    with W = m + 3 for a parent of length m, is the kept mask of the
-    child of rank r, and 0 for r not in ``kept``.  It is the child's
-    inherited ranks (``kept`` with each s >= r moved up to s + 1, as
-    s <= r and s + 1 for s >= r stay live) less the ranks at which a
-    next entry completes an occurrence whose label k-1 is the child's
-    last entry.  Labels 1..k-2 get one nested loop each over the parent,
-    with the order checks inlined, so every child's occurrences come
-    from one pass.  An occurrence lets label k-1 take the child ranks
-    a+1..b, a (b) being its largest (smallest) value below (above) k-1,
-    and a level is skipped when ``kept`` holds none of them; what it
-    forbids is looked up in ``_Regions``.  A label related to no later
-    one stops at its first fit: no later test reads it, and a later
-    position only narrows the later labels' positions."""
+def _compiled_board(pop: Pop) -> Callable[[bytes, int, int, _Regions], int]:
+    """Generate ``board(parent, kept, m, regions)`` for ``pop``, once per
+    POP, with m = len(parent) and ``regions`` from ``_ROWS[m]``: the
+    ranks forbidden to every child of ``parent`` at once, where ``kept``
+    holds the parent's.  Row r, bits r * W .. r * W + W - 1 with W = m + 3,
+    holds the ranks at which a next entry completes an occurrence whose
+    label k-1 is the last entry of the child of rank r; ``_rows`` and
+    ``_walk`` take them from what the child inherits.  Labels 1..k-2 get
+    one nested loop each over the parent, with the order checks inlined,
+    so every child's occurrences come from one pass.  An occurrence lets
+    label k-1 take the child ranks a+1..b, a (b) being its largest
+    (smallest) value below (above) k-1, and a level is skipped when
+    ``kept`` holds none of them; what it forbids is looked up in
+    ``regions``.  A label related to no later one stops at its first
+    fit: no later test reads it, and a later position only narrows the
+    later labels' positions.  With one label every rank is forbidden."""
     k, below = pop.k, pop.below
     _check_labels(k)
     if k == 1:
-        return lambda parent, kept: 0
+        return lambda parent, kept, m, regions: -1
     pin = k - 2
     rel = 1 if below[pin][k - 1] else 2 if below[k - 1][pin] else 0
     # Each side, a and lo below labels k-1 and k, b and hi above them: the
@@ -197,10 +205,7 @@ def _compiled_board(pop: Pop) -> Callable[[Sequence[int], int], int]:
         "hi": (k - 1, False, [pin] if rel == 2 else [], "m + 1"),
     }
     bound = {side: start for side, (*_, start) in sides.items()}
-    lines = ["def board(p, kept):", "    m = len(p)"]
-    lines += ["    ones, diag, low, high, regions = _ROWS[m]"]
-    lines += ["    spread = kept * (kept * ones & diag)"]
-    lines += ["    allowed = spread & low | (spread & high) << 1", "    forbid = 0"]
+    lines = ["def board(p, kept, m, regions):", "    forbid = 0"]
     pad = "    "
     breaks = []
     for j in range(pin):
@@ -240,10 +245,21 @@ def _compiled_board(pop: Pop) -> Callable[[Sequence[int], int], int]:
             breaks.append(f"{pad}break")
     key = ", ".join([str(rel)] + [bound[side] for side in sides])
     lines += [f"{pad}forbid |= regions[{key}]", *reversed(breaks)]
-    lines += ["    return allowed & ~forbid"]
-    namespace: dict = {"_ROWS": _ROWS}
+    lines += ["    return forbid"]
+    namespace: dict = {}
     exec("\n".join(lines), namespace)
     return namespace["board"]
+
+
+def _rows(board: Callable, parent: Sequence[int], kept: int) -> int:
+    """The kept ranks of every child of ``parent`` at once, as ``_walk``
+    composes them: row r is 0 for r not in ``kept``, else the child's
+    inherited ranks (``kept`` with each s >= r moved up to s + 1, as
+    s <= r and s + 1 for s >= r stay live) less ``board``'s row r."""
+    m = len(parent)
+    ones, diag, low, high, regions = _ROWS[m]
+    spread = kept * (kept * ones & diag)
+    return (spread & low | (spread & high) << 1) & ~board(parent, kept, m, regions)
 
 
 def contains_pop_ending_at_last(perm: Permutation, pop: Pop) -> bool:
@@ -263,7 +279,7 @@ def contains_pop_ending_at_last(perm: Permutation, pop: Pop) -> bool:
     for j, v in enumerate(vals[:-1]):
         r = 1 + sum(u < v for u in vals[:j])
         inherited = (kept & ((2 << r) - 1)) | ((kept >> r) << (r + 1))
-        kept = board(p, kept | 1 << r) >> (r * (len(p) + 3)) & inherited
+        kept = _rows(board, p, kept | 1 << r) >> (r * (len(p) + 3)) & inherited
         p = [u + (u >= r) for u in p] + [r]
     return not kept >> vals[-1] & 1
 
@@ -276,29 +292,34 @@ _SHIFT = [_BYTES[:r] + _BYTES[r + 1 :] + _BYTES[:1] for r in range(256)]
 _LAST = [_BYTES[r : r + 1] for r in range(256)]
 
 
-def _children(board: Callable[[bytes, int], int], perm: bytes, kept: int) -> Iterator[_Node]:
-    """The child of each rank r in ``kept``, with row r of ``board(perm, kept)``."""
-    rows, width = board(perm, kept), len(perm) + 3
-    row = (1 << width) - 1
-    for r in range(1, len(perm) + 2):
-        rows >>= width
-        if kept >> r & 1:
-            yield perm.translate(_SHIFT[r]) + _LAST[r], rows & row
-
-
 def _walk(board: Callable, level: list[_Node], counts: list[int], stop: int) -> list[_Node]:
     """Walk ``level``, nodes of one length d, down to length ``stop``
     and return the level there, adding the kept ranks of the level of
-    each length m to ``counts[m + 1]``.  At m = n_max - 2, n_max being
-    ``len(counts) - 1``, the level's boards give ``counts[n_max]`` and
-    no level is returned: the last two lengths are not built."""
+    each length m to ``counts[m + 1]``.  Each level reads its row tables
+    from ``_ROWS[m]`` once; each node's child rows are composed as in
+    ``_rows``, and the child of each kept rank r is built here from row
+    r.  At m = n_max - 2, n_max being ``len(counts) - 1``, the level's
+    rows give ``counts[n_max]`` and no level is returned: the last two
+    lengths are not built."""
     n_max = len(counts) - 1
     for m in range(len(level[0][0]), stop):
         counts[m + 1] += sum(kept.bit_count() for _, kept in level)
-        if m == n_max - 2:
-            counts[n_max] += sum(board(*node).bit_count() for node in level)
-            return []
-        level = [c for node in level for c in _children(board, *node)]
+        ones, diag, low, high, regions = _ROWS[m]
+        width, last, children = m + 3, m == n_max - 2, []
+        row = (1 << width) - 1
+        for perm, kept in level:
+            spread = kept * (kept * ones & diag)
+            rows = (spread & low | (spread & high) << 1) & ~board(perm, kept, m, regions)
+            if last:
+                counts[n_max] += rows.bit_count()
+                continue
+            for r in range(1, m + 2):
+                rows >>= width
+                if kept >> r & 1:
+                    children.append((perm.translate(_SHIFT[r]) + _LAST[r], rows & row))
+        level = children
+        if last:
+            break
     return level
 
 
@@ -458,8 +479,10 @@ def count_avoiders_prefix(
 ) -> CountSequence:
     """Avoidance counts for every length 0..n_max from one tree walk.
 
-    The subtrees below the cut, one per ``_cut_key``, are walked in a
-    process pool when ``jobs > 1``; the counts do not depend on ``jobs``.
+    Below n_max = ``CUT_HEIGHT + MIN_CUT_DEPTH`` the whole tree is walked
+    here, whatever ``jobs`` is.  From there the subtrees below the cut,
+    one per ``_cut_key``, are walked in a process pool when ``jobs > 1``;
+    the counts depend neither on ``jobs`` nor on the path.
     """
     _check_jobs(jobs)
     if n_max > MAX_LENGTH:
@@ -473,7 +496,11 @@ def count_avoiders_prefix(
     counts = [1] + [0] * n_max
     # The root: the empty permutation, whose child of rank 1 is an avoider unless k = 1.
     root = (b"", 1 << 1 if pop.k > 1 else 0)
-    level = _walk(_compiled_board(pop), [root], counts, max(0, n_max - CUT_HEIGHT))
+    board = _compiled_board(pop)
+    if n_max - CUT_HEIGHT < MIN_CUT_DEPTH:
+        _walk(board, [root], counts, n_max)
+        return CountSequence(pop, tuple(counts))
+    level = _walk(board, [root], counts, n_max - CUT_HEIGHT)
     # One representative per key, and the number of cut nodes sharing it.
     groups: dict[tuple, list] = {}
     for node in level:

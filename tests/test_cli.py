@@ -76,8 +76,9 @@ def test_count_json(capsys):
 
 
 def test_count_respects_jobs(capsys):
-    assert main(["count", "--pop", "k=3; 1>2, 2>3", "--n", "7", "--jobs", "2"]) == 0
-    assert capsys.readouterr().out.strip() == "429"
+    # At n = 8 the cut is keyed and its keys go through the pool.
+    assert main(["count", "--pop", "k=3; 1>2, 2>3", "--n", "8", "--jobs", "2"]) == 0
+    assert capsys.readouterr().out.strip() == "1430"
 
 
 def test_count_in_process_leaves_the_collector_unfrozen(capsys):
@@ -486,10 +487,12 @@ def test_scan_length_seven_is_refused_before_enumerating(monkeypatch, capsys):
 
 def test_jobs_without_fork_is_usage_error(monkeypatch, capsys):
     monkeypatch.delattr(os, "fork")
-    # At n = 7 the cut, at depth 2, holds two keys, so a pool would start.
-    assert main(["count", "k=3; 1>3", "--n", "7", "--jobs", "2"]) == 2
+    # At n = 8 the cut, at depth 3, holds two keys, so a pool would start.
+    assert main(["count", "k=3; 1>3", "--n", "8", "--jobs", "2"]) == 2
     assert "os.fork" in capsys.readouterr().err
-    assert main(["count", "k=3; 1>3", "--n", "7", "--jobs", "1"]) == 0
+    assert main(["count", "k=3; 1>3", "--n", "8", "--jobs", "1"]) == 0
+    # At n = 7 the whole tree is walked in this process, whatever the jobs.
+    assert main(["count", "k=3; 1>3", "--n", "7", "--jobs", "2"]) == 0
 
 
 def test_scan_past_ceiling_is_usage_error(monkeypatch, capsys):

@@ -1,17 +1,20 @@
 from __future__ import annotations
 
 import itertools
+import json
 import math
 import os
 import random
 import signal
 import time
+from pathlib import Path
 
 import pytest
 
 import poplab.counting as counting
 from poplab.counting import (
     CUT_HEIGHT,
+    MIN_CUT_DEPTH,
     CeilingExceeded,
     CountSequence,
     _cut_key,
@@ -49,6 +52,9 @@ SAMPLE_POPS = [
 
 # Seeded sample of length-5 POPs for the oracle agreement checks.
 SAMPLE_POPS_5 = [p.to_text() for p in random.Random(503).sample(enumerate_pops(5), 12)]
+
+# Every length-5 orbit representative's counts at n <= 10, computed by poplab.
+GOLDEN_5 = json.loads((Path(__file__).parent / "data" / "scan5_counts.json").read_text())
 
 # ----------------------------------------------------------------------
 # Agreement of the three independent counters
@@ -129,7 +135,7 @@ def test_pattern_set_counter_uses_no_engine_part(monkeypatch):
     def engine_part(*args, **kwargs):
         raise AssertionError("an oracle called the engine")
 
-    for name in ("_compiled_board", "_walk", "_subtree_counts", "_children", "_cut_key"):
+    for name in ("_compiled_board", "_rows", "_walk", "_subtree_counts", "_cut_key"):
         monkeypatch.setattr(counting, name, engine_part)
     patterns = [Permutation.from_text(t) for t in ("2431", "4231", "4321")]
     counts = [count_avoiders_pattern_set(patterns, n) for n in range(1, 9)]
@@ -216,11 +222,12 @@ def test_parallel_count_equals_serial():
     pop = parse_pop("k=4; 1>2, 1>3, 4>2, 4>3")
     for n in (5, 7):
         assert count_avoiders(pop, n, jobs=2) == count_avoiders(pop, n)
-    # Whole prefixes, with the cut at the root and just below it, and for
-    # a POP longer than n_max.
+    # Whole prefixes, walked whole up to the floor of the cut and with the
+    # cut at and below it, and for a POP longer than n_max.
+    floor = CUT_HEIGHT + MIN_CUT_DEPTH
     for text in ("k=4; 1>2, 1>3, 4>2, 4>3", "k=3; 1>3", "k=5; 1>5"):
         pop = parse_pop(text)
-        for n_max in (0, 2, CUT_HEIGHT, CUT_HEIGHT + 1, CUT_HEIGHT + 2, CUT_HEIGHT + 3):
+        for n_max in (0, 2, CUT_HEIGHT, CUT_HEIGHT + 1, floor - 1, floor, floor + 1):
             serial = count_avoiders_prefix(pop, n_max, jobs=1)
             assert count_avoiders_prefix(pop, n_max, jobs=2) == serial
 
@@ -253,6 +260,23 @@ def test_pool_starts_at_most_one_worker_per_subtree(forks):
     assert count_avoiders_prefix(empty, 1, jobs=4).counts == (1, 0)
     assert forks == [6, 2]
 
+
+
+def test_short_count_walks_its_whole_tree_in_one_process(monkeypatch, forks):
+    def cut_key(*args):
+        raise AssertionError("a cut was keyed")
+
+    monkeypatch.setattr(counting, "_cut_key", cut_key)
+    # The deepest n_max whose cut would sit above MIN_CUT_DEPTH.
+    n_max = CUT_HEIGHT + MIN_CUT_DEPTH - 1
+    for text in ("k=4; 3>1, 1>2, 3>4", "k=5; 1>2, 2>4, 4>3, 5>2"):
+        pop = parse_pop(text)
+        counts = count_avoiders_prefix(pop, n_max, jobs=4).counts
+        assert list(counts) == [naive_count_avoiders(pop, n) for n in range(n_max + 1)]
+        assert forks == []
+        # One length more, the cut is keyed at MIN_CUT_DEPTH.
+        with pytest.raises(AssertionError, match="a cut was keyed"):
+            count_avoiders_prefix(pop, n_max + 1, jobs=4)
 
 @pytest.mark.parametrize("error", [ValueError, CeilingExceeded])
 def test_pool_reraises_the_first_worker_error_and_reaps_every_child(error, deadline):
@@ -400,6 +424,38 @@ def test_cut_walk_matches_pattern_set_oracle_at_nine():
     pop = parse_pop("k=4; 3>1, 1>2, 3>4")
     expected = count_avoiders_pattern_set(linear_extensions(pop), 9)
     assert count_avoiders(pop, 9) == expected == 22431
+
+
+def test_length_five_orbits_match_the_golden_counts():
+    # Every orbit at n <= 7, where each count walks its whole tree.
+    golden = GOLDEN_5["counts"]
+    reps = orbit_reps(5)
+    assert sorted(pop.to_text() for pop in reps) == sorted(golden)
+    for pop in reps:
+        assert list(count_avoiders_prefix(pop, 7).counts) == golden[pop.to_text()][:8], pop
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_length_five_sample_matches_the_golden_counts_through_the_cut(jobs):
+    # At n = 8 the cut sits at MIN_CUT_DEPTH, and its keys go through the pool.
+    assert 8 - CUT_HEIGHT == MIN_CUT_DEPTH
+    golden = GOLDEN_5["counts"]
+    for pop in random.Random(3208).sample(orbit_reps(5), 40):
+        assert list(count_avoiders_prefix(pop, 8, jobs=jobs).counts) == golden[pop.to_text()][:9], pop
+
+
+def test_golden_file_names_the_classes_that_split_at_ten():
+    golden = GOLDEN_5["counts"]
+    classes = {}
+    for text, counts in golden.items():
+        classes.setdefault(tuple(counts[:10]), []).append(text)
+    split = sorted(
+        sorted(texts) for texts in classes.values() if len({tuple(golden[t]) for t in texts}) > 1
+    )
+    assert GOLDEN_5["splits_at_10"]["classes"] == split and len(split) == 4
+    assert GOLDEN_5["classes"] == {
+        str(n): len({tuple(counts[: n + 1]) for counts in golden.values()}) for n in (8, 9, 10)
+    }
 
 
 # ----------------------------------------------------------------------

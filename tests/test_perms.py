@@ -1,10 +1,11 @@
 from __future__ import annotations
 
 import random
+from functools import partial
 
 import pytest
 
-from poplab.counting import _compiled_board, contains_pop_ending_at_last
+from poplab.counting import _compiled_board, _rows, contains_pop_ending_at_last
 from poplab.perms import Permutation, has_cycle_interval_property, standardize
 from poplab.posets import Pop, antichain, linear_extensions, parse_pop
 
@@ -215,7 +216,7 @@ def chain_pop(k: int):
 
 
 def test_matcher_short_parent_and_single_label():
-    board = _compiled_board(chain_pop(4))
+    board = partial(_rows, _compiled_board(chain_pop(4)))
     # Fewer than k - 2 entries hold no occurrence: the child of rank 1
     # inherits ranks 1 and 2 (rows are m + 3 bits wide).
     assert board([], 0b10) == 0b110 << 3
@@ -225,7 +226,7 @@ def test_matcher_short_parent_and_single_label():
     # Ranks missing from ``kept`` stay missing, and their rows are empty.
     assert board([2, 1], 0b0110) == 0b1100 << 5 | 0b1110 << 10
     # One label: every new entry is an occurrence, with no label to pin.
-    assert _compiled_board(parse_pop("k=1;"))([2, 1], 0b1110) == 0
+    assert _rows(_compiled_board(parse_pop("k=1;")), [2, 1], 0b1110) == 0
     assert contains_pop_ending_at_last(Permutation((1,)), parse_pop("k=1;"))
 
 

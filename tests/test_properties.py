@@ -7,10 +7,15 @@ example counts are bounded to keep the file to a few seconds.
 
 from __future__ import annotations
 
+from functools import partial
+
 import pytest
 
 from poplab.counting import (
+    CUT_HEIGHT,
+    MIN_CUT_DEPTH,
     _compiled_board,
+    _rows,
     contains_pop_ending_at_last,
     count_avoiders_pattern_set,
     count_avoiders_prefix,
@@ -77,9 +82,11 @@ def test_counts_are_invariant_under_symmetries(pop):
 @_settings(10)
 @given(pops())
 def test_counts_do_not_depend_on_jobs(pop):
+    # The least n_max whose count is cut and keyed, so that jobs=2 starts a pool.
+    n_max = CUT_HEIGHT + MIN_CUT_DEPTH
     assert (
-        count_avoiders_prefix(pop, N_MAX + 1, jobs=2).counts
-        == count_avoiders_prefix(pop, N_MAX + 1, jobs=1).counts
+        count_avoiders_prefix(pop, n_max, jobs=2).counts
+        == count_avoiders_prefix(pop, n_max, jobs=1).counts
     )
 
 
@@ -113,7 +120,7 @@ def test_kept_rank_matcher_matches_occurrence_oracle(pop, parent, data):
     at position m + 1, the child's last entry; the other rows are 0."""
     m = parent.n
     kept = sum(1 << r for r in data.draw(st.sets(st.integers(1, m + 1))))
-    board = _compiled_board(pop)(list(parent.values), kept)
+    board = _rows(_compiled_board(pop), list(parent.values), kept)
     assert board < 1 << ((m + 2) * (m + 3))
     for r in range(m + 2):
         expected = set()
@@ -139,7 +146,7 @@ def test_prefix_chain_masks_hold_the_ranks_older_occurrences_leave(pop, perm):
     that was not, the chain goes on as ``contains_pop_ending_at_last``
     does, adding the rank to the parent's mask and cutting the row to the
     ranks the prefix inherits."""
-    board = _compiled_board(pop)
+    board = partial(_rows, _compiled_board(pop))
     vals = perm.values
     parent, kept, reached = [], 1 << 1 if pop.k > 1 else 0, True
     for j in range(perm.n + 1):
